@@ -22,7 +22,7 @@ void BM_Conv2dForward(benchmark::State& state) {
   util::Rng rng(1);
   nn::Conv2d conv(c, c, 3, 1, 1, rng);
   const tensor::Tensor x = tensor::Tensor::randn({1, c, 16, 16}, rng, 0.3f);
-  for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x, false));
+  for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x));
   state.SetItemsProcessed(state.iterations() * conv.macc({c, 16, 16}));
 }
 BENCHMARK(BM_Conv2dForward)->Arg(16)->Arg(64);
@@ -35,7 +35,7 @@ void BM_Conv2dBackward(benchmark::State& state) {
   const tensor::Tensor grad =
       tensor::Tensor::randn({1, c, 16, 16}, rng, 0.1f);
   for (auto _ : state) {
-    conv.forward(x, true);
+    conv.forward_train(x);
     benchmark::DoNotOptimize(conv.backward(grad));
   }
   state.SetItemsProcessed(state.iterations() * 3 * conv.macc({c, 16, 16}));
@@ -49,7 +49,7 @@ void BM_Conv2dPointwise(benchmark::State& state) {
   util::Rng rng(12);
   nn::Conv2d conv(c, c, 1, 1, 0, rng);
   const tensor::Tensor x = tensor::Tensor::randn({1, c, 16, 16}, rng, 0.3f);
-  for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x, false));
+  for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x));
   state.SetItemsProcessed(state.iterations() * conv.macc({c, 16, 16}));
 }
 BENCHMARK(BM_Conv2dPointwise)->Arg(64)->Arg(128);
@@ -59,7 +59,7 @@ void BM_Conv2dDepthwise(benchmark::State& state) {
   util::Rng rng(13);
   nn::Conv2d conv(c, c, 3, 1, 1, rng, /*groups=*/c);
   const tensor::Tensor x = tensor::Tensor::randn({1, c, 16, 16}, rng, 0.3f);
-  for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x, false));
+  for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x));
   state.SetItemsProcessed(state.iterations() * conv.macc({c, 16, 16}));
 }
 BENCHMARK(BM_Conv2dDepthwise)->Arg(64)->Arg(128);

@@ -292,8 +292,8 @@ PerfStats bench_serve_throughput(const PerfSuiteConfig& config) {
 }
 
 PerfStats bench_transport_roundtrip(const PerfSuiteConfig& config) {
-  runtime::TcpServer server(
-      [](const runtime::Blob& request) { return request; });
+  runtime::Gateway server(
+      [](const runtime::GatewayRequest& r) { return r.payload; });
   const std::uint16_t port = server.start();
   runtime::TcpClient client;
   client.connect(port);
@@ -410,7 +410,7 @@ PerfStats bench_conv_forward(const PerfSuiteConfig& config, const char* name,
   nn::Conv2d conv(32, 64, 3, 1, 1, rng);
   const auto x = tensor::Tensor::randn({4, 32, 16, 16}, rng, 0.3f);
   return measure(name, config.warmup, config.repetitions,
-                 [&] { conv.forward(x, false); });
+                 [&] { conv.forward(x); });
 }
 
 PerfStats bench_conv_backward(const PerfSuiteConfig& config, const char* name,
@@ -420,7 +420,7 @@ PerfStats bench_conv_backward(const PerfSuiteConfig& config, const char* name,
   nn::Conv2d conv(32, 64, 3, 1, 1, rng);
   const auto x = tensor::Tensor::randn({4, 32, 16, 16}, rng, 0.3f);
   const auto grad = tensor::Tensor::randn({4, 64, 16, 16}, rng, 0.1f);
-  conv.forward(x, true);  // cache the input once; backward re-reads it
+  conv.forward_train(x);  // cache the input once; backward re-reads it
   return measure(name, config.warmup, config.repetitions,
                  [&] { conv.backward(grad); });
 }

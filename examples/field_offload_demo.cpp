@@ -1,8 +1,8 @@
 // Scenario: a real edge/cloud split over a real socket. The base model is
 // partitioned and compressed with faithful weights, the cloud half is served
-// by a TcpServer on localhost, and each inference pushes the actual feature
-// tensor through the wire while a trace-driven shaper accounts (and briefly
-// sleeps) for the radio time. Verifies on the spot that the distributed
+// by a CloudExecutor's Gateway on localhost, and each inference pushes the
+// actual feature tensor through the wire while a trace-driven shaper
+// accounts (and briefly sleeps) for the radio time. Verifies on the spot that the distributed
 // result matches local execution.
 //
 //   ./examples/field_offload_demo

@@ -30,7 +30,7 @@ double eval_accuracy(nn::Model& model, const data::SynthCifar& dataset,
   double acc = 0.0;
   for (int b = 0; b < loader.batches_per_epoch(); ++b) {
     const auto batch = loader.batch(b);
-    acc += nn::accuracy(model.forward(batch.images, false), batch.labels);
+    acc += nn::accuracy(model.forward(batch.images), batch.labels);
   }
   return acc / loader.batches_per_epoch();
 }
@@ -64,7 +64,7 @@ int main() {
     for (int step = 0; step < 250; ++step) {
       const auto batch = loader.batch(step);
       const auto loss =
-          nn::cross_entropy(base.forward(batch.images, true), batch.labels);
+          nn::cross_entropy(base.forward_train(batch.images), batch.labels);
       base.zero_grad();
       base.backward(loss.grad);
       sgd.step(base.params(), base.grads());

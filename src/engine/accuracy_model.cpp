@@ -94,8 +94,8 @@ double RealAccuracyEvaluator::train_and_evaluate(nn::Model& candidate) const {
   for (int step = 0; step < train_steps_; ++step) {
     const auto batch = loader.batch(step);
     // Knowledge distillation (Sec. VI-D): soft targets from the base model.
-    const tensor::Tensor teacher = base_.forward(batch.images, false);
-    const tensor::Tensor logits = candidate.forward(batch.images, true);
+    const tensor::Tensor teacher = base_.forward(batch.images);
+    const tensor::Tensor logits = candidate.forward_train(batch.images);
     const nn::LossResult loss =
         nn::distillation_loss(logits, teacher, batch.labels);
     candidate.zero_grad();
@@ -110,14 +110,14 @@ double RealAccuracyEvaluator::train_and_evaluate(nn::Model& candidate) const {
 
 double RealAccuracyEvaluator::base_accuracy() const { return evaluate(base_); }
 
-double RealAccuracyEvaluator::evaluate(nn::Model& model) const {
+double RealAccuracyEvaluator::evaluate(const nn::Model& model) const {
   data::DataLoader loader(dataset_, train_examples_,
                           train_examples_ + eval_examples_, batch_size_);
   double correct_weighted = 0.0;
   int batches = loader.batches_per_epoch();
   for (int b = 0; b < batches; ++b) {
     const auto batch = loader.batch(b);
-    const tensor::Tensor logits = model.forward(batch.images, false);
+    const tensor::Tensor logits = model.forward(batch.images);
     correct_weighted += nn::accuracy(logits, batch.labels);
   }
   return batches > 0 ? correct_weighted / batches : 0.0;

@@ -60,9 +60,9 @@ class RealAccuracyEvaluator {
   double base_accuracy() const;
 
  private:
-  double evaluate(nn::Model& model) const;
+  double evaluate(const nn::Model& model) const;
 
-  mutable nn::Model base_;
+  nn::Model base_;
   const data::SynthCifar& dataset_;
   int train_examples_, eval_examples_, batch_size_, train_steps_;
   double lr_;

@@ -6,9 +6,13 @@
 
 namespace cadmc::nn {
 
-Tensor ReLU::forward(const Tensor& input, bool training) {
-  if (training) cached_input_ = input;
+Tensor ReLU::forward(const Tensor& input) const {
   return tensor::relu(input, cap_);
+}
+
+Tensor ReLU::forward_train(const Tensor& input) {
+  cached_input_ = input;
+  return forward(input);
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
@@ -23,12 +27,16 @@ std::unique_ptr<Layer> ReLU::clone() const {
   return std::make_unique<ReLU>(*this);
 }
 
-Tensor Flatten::forward(const Tensor& input, bool training) {
-  if (training) cached_shape_ = input.shape();
+Tensor Flatten::forward(const Tensor& input) const {
   if (input.rank() == 2) return input;
   const int n = input.dim(0);
   const int d = static_cast<int>(input.numel() / n);
   return input.reshaped({n, d});
+}
+
+Tensor Flatten::forward_train(const Tensor& input) {
+  cached_shape_ = input.shape();
+  return forward(input);
 }
 
 Tensor Flatten::backward(const Tensor& grad_out) {
@@ -53,8 +61,10 @@ Dropout::Dropout(double drop_prob, std::uint64_t seed)
     throw std::invalid_argument("Dropout: p must be in [0,1)");
 }
 
-Tensor Dropout::forward(const Tensor& input, bool training) {
-  if (!training || drop_prob_ == 0.0) return input;
+Tensor Dropout::forward(const Tensor& input) const { return input; }
+
+Tensor Dropout::forward_train(const Tensor& input) {
+  if (drop_prob_ == 0.0) return input;
   mask_ = Tensor(input.shape());
   const float scale = static_cast<float>(1.0 / (1.0 - drop_prob_));
   Tensor out = input;

@@ -11,7 +11,8 @@ class ReLU : public Layer {
   /// cap <= 0 means plain ReLU; cap = 6 gives ReLU6 (MobileNetV2).
   explicit ReLU(float cap = 0.0f) : cap_(cap) {}
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   LayerSpec spec() const override;
@@ -26,7 +27,8 @@ class ReLU : public Layer {
 /// [N,C,H,W] -> [N,C*H*W]; no-op on already-flat [N,D] inputs.
 class Flatten : public Layer {
  public:
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   LayerSpec spec() const override;
@@ -42,7 +44,8 @@ class Dropout : public Layer {
  public:
   Dropout(double drop_prob, std::uint64_t seed);
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   LayerSpec spec() const override;

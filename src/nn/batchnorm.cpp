@@ -18,23 +18,26 @@ BatchNorm2d::BatchNorm2d(int channels, float momentum, float eps)
   running_var_ = Tensor::ones({channels});
 }
 
-Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
+Tensor BatchNorm2d::forward(const Tensor& input) const {
   if (input.rank() != 4 || input.dim(1) != channels_)
     throw std::invalid_argument("BatchNorm2d: expected [N,C,H,W] input");
-  if (training) {
-    auto fwd = tensor::batchnorm2d_train(input, gamma_, beta_, eps_);
-    cached_norm_ = std::move(fwd.norm);
-    cached_inv_std_ = std::move(fwd.inv_std);
-    for (int c = 0; c < channels_; ++c) {
-      running_mean_(c) = (1.0f - momentum_) * running_mean_(c) +
-                         momentum_ * fwd.mean[static_cast<std::size_t>(c)];
-      running_var_(c) = (1.0f - momentum_) * running_var_(c) +
-                        momentum_ * fwd.var[static_cast<std::size_t>(c)];
-    }
-    return std::move(fwd.output);
-  }
   return tensor::batchnorm2d_infer(input, gamma_, beta_, running_mean_,
                                    running_var_, eps_);
+}
+
+Tensor BatchNorm2d::forward_train(const Tensor& input) {
+  if (input.rank() != 4 || input.dim(1) != channels_)
+    throw std::invalid_argument("BatchNorm2d: expected [N,C,H,W] input");
+  auto fwd = tensor::batchnorm2d_train(input, gamma_, beta_, eps_);
+  cached_norm_ = std::move(fwd.norm);
+  cached_inv_std_ = std::move(fwd.inv_std);
+  for (int c = 0; c < channels_; ++c) {
+    running_mean_(c) = (1.0f - momentum_) * running_mean_(c) +
+                       momentum_ * fwd.mean[static_cast<std::size_t>(c)];
+    running_var_(c) = (1.0f - momentum_) * running_var_(c) +
+                      momentum_ * fwd.var[static_cast<std::size_t>(c)];
+  }
+  return std::move(fwd.output);
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {

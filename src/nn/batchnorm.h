@@ -10,7 +10,8 @@ class BatchNorm2d : public Layer {
  public:
   explicit BatchNorm2d(int channels, float momentum = 0.1f, float eps = 1e-5f);
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override { return {&gamma_, &beta_}; }

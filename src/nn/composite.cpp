@@ -69,9 +69,15 @@ SequentialBlock::SequentialBlock(const SequentialBlock& other)
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
 }
 
-Tensor SequentialBlock::forward(const Tensor& input, bool training) {
+Tensor SequentialBlock::forward(const Tensor& input) const {
   Tensor x = input;
-  for (auto& l : layers_) x = l->forward(x, training);
+  for (const auto& l : layers_) x = l->forward(x);
+  return x;
+}
+
+Tensor SequentialBlock::forward_train(const Tensor& input) {
+  Tensor x = input;
+  for (auto& l : layers_) x = l->forward_train(x);
   return x;
 }
 
@@ -126,18 +132,21 @@ Fire::Fire(const Fire& other)
       expand1_(std::make_unique<Conv2d>(*other.expand1_)),
       expand3_(std::make_unique<Conv2d>(*other.expand3_)) {}
 
-Tensor Fire::forward(const Tensor& input, bool training) {
-  Tensor s = squeeze_->forward(input, training);
+Tensor Fire::forward(const Tensor& input) const {
+  Tensor s = squeeze_->forward(input);
   s.clamp_min_(0.0f);  // ReLU on the squeeze output
-  if (training) squeeze_out_ = s;
-  Tensor e1 = expand1_->forward(s, training);
-  Tensor e3 = expand3_->forward(s, training);
-  if (training) {
-    expand1_out_ = e1;
-    expand3_out_ = e3;
-  }
-  Tensor out = concat_channels(e1, e3);
+  Tensor out = concat_channels(expand1_->forward(s), expand3_->forward(s));
   out.clamp_min_(0.0f);  // ReLU on the concatenated expand output
+  return out;
+}
+
+Tensor Fire::forward_train(const Tensor& input) {
+  squeeze_out_ = squeeze_->forward_train(input);
+  squeeze_out_.clamp_min_(0.0f);
+  expand1_out_ = expand1_->forward_train(squeeze_out_);
+  expand3_out_ = expand3_->forward_train(squeeze_out_);
+  Tensor out = concat_channels(expand1_out_, expand3_out_);
+  out.clamp_min_(0.0f);
   return out;
 }
 
@@ -222,9 +231,16 @@ InvertedResidual::InvertedResidual(const InvertedResidual& other)
   for (const auto& l : other.chain_) chain_.push_back(l->clone());
 }
 
-Tensor InvertedResidual::forward(const Tensor& input, bool training) {
+Tensor InvertedResidual::forward(const Tensor& input) const {
   Tensor x = input;
-  for (auto& l : chain_) x = l->forward(x, training);
+  for (const auto& l : chain_) x = l->forward(x);
+  if (use_skip_) x.add_(input);
+  return x;
+}
+
+Tensor InvertedResidual::forward_train(const Tensor& input) {
+  Tensor x = input;
+  for (auto& l : chain_) x = l->forward_train(x);
   if (use_skip_) x.add_(input);
   return x;
 }
@@ -300,13 +316,19 @@ ResidualBlock::ResidualBlock(const ResidualBlock& other)
     projection_ = std::make_unique<Conv2d>(*other.projection_);
 }
 
-Tensor ResidualBlock::forward(const Tensor& input, bool training) {
-  if (training) cached_input_ = input;
+Tensor ResidualBlock::forward(const Tensor& input) const {
   Tensor x = input;
-  for (auto& l : main_) x = l->forward(x, training);
-  Tensor skip = projection_ ? projection_->forward(input, training) : input;
-  x.add_(skip);
-  if (training) cached_sum_ = x;
+  for (const auto& l : main_) x = l->forward(x);
+  x.add_(projection_ ? projection_->forward(input) : input);
+  x.clamp_min_(0.0f);  // final ReLU
+  return x;
+}
+
+Tensor ResidualBlock::forward_train(const Tensor& input) {
+  Tensor x = input;
+  for (auto& l : main_) x = l->forward_train(x);
+  x.add_(projection_ ? projection_->forward_train(input) : input);
+  cached_sum_ = x;
   x.clamp_min_(0.0f);  // final ReLU
   return x;
 }

@@ -21,7 +21,8 @@ class SequentialBlock : public Layer {
   SequentialBlock(const SequentialBlock& other);
   SequentialBlock& operator=(const SequentialBlock&) = delete;
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override;
@@ -50,7 +51,8 @@ class Fire : public Layer {
   Fire(const Fire& other);
   Fire& operator=(const Fire&) = delete;
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override;
@@ -80,7 +82,8 @@ class InvertedResidual : public Layer {
   InvertedResidual(const InvertedResidual& other);
   InvertedResidual& operator=(const InvertedResidual&) = delete;
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override;
@@ -110,7 +113,8 @@ class ResidualBlock : public Layer {
   ResidualBlock(const ResidualBlock& other);
   ResidualBlock& operator=(const ResidualBlock&) = delete;
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override;
@@ -132,7 +136,7 @@ class ResidualBlock : public Layer {
   bool bottleneck_;
   std::vector<std::unique_ptr<Layer>> main_;   // conv/relu chain
   std::unique_ptr<Conv2d> projection_;         // null when identity skip
-  Tensor cached_input_, cached_sum_;           // for backward through the add+relu
+  Tensor cached_sum_;                          // for backward through the add+relu
 };
 
 }  // namespace cadmc::nn

@@ -33,24 +33,21 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
   }
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool training) {
-  if (training) {
-    cached_input_ = input;
-  } else {
-    // An inference forward must not leave a stale activation behind: a later
-    // backward() would silently differentiate against the wrong input.
-    cached_input_ = Tensor();
-  }
-  has_cached_input_ = training;
+Tensor Conv2d::forward(const Tensor& input) const {
   tensor::Conv2dSpec cspec{stride_, padding_, groups_};
   return tensor::conv2d(input, weight_, bias_, cspec);
 }
 
+Tensor Conv2d::forward_train(const Tensor& input) {
+  cached_input_ = input;
+  return forward(input);
+}
+
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  if (!has_cached_input_)
+  if (cached_input_.empty())
     throw std::logic_error(
-        "Conv2d::backward: no cached input — call forward(training=true) "
-        "before backward");
+        "Conv2d::backward: no cached input — call forward_train before "
+        "backward");
   tensor::Conv2dSpec cspec{stride_, padding_, groups_};
   auto grads =
       tensor::conv2d_backward(cached_input_, weight_, has_bias_, grad_out, cspec);

@@ -14,7 +14,8 @@ class Conv2d : public Layer {
   Conv2d(int in_channels, int out_channels, int kernel, int stride,
          int padding, util::Rng& rng, int groups = 1, bool bias = true);
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override;
@@ -56,8 +57,7 @@ class Conv2d : public Layer {
   bool has_bias_;
   Tensor weight_, bias_;
   Tensor weight_grad_, bias_grad_;
-  Tensor cached_input_;
-  bool has_cached_input_ = false;
+  Tensor cached_input_;  // set by forward_train; empty until then
 };
 
 }  // namespace cadmc::nn

@@ -1,6 +1,7 @@
 // Layer abstraction for the DNN substrate. Every layer
-//  * runs a real forward pass on Tensors (and a backward pass for training /
-//    knowledge distillation),
+//  * runs a real forward pass on Tensors — a `const` inference pass that
+//    writes nothing, so one layer can serve any number of threads at once —
+//    and a training pass plus backward for knowledge distillation,
 //  * can describe itself as the hyper-parameter string of Eqn. (1),
 //    x_i = (l, k, s, p, n), which is what the LSTM controllers consume,
 //  * reports its per-sample MACC count (Eqns. 4-5) for the latency model, and
@@ -35,12 +36,16 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Runs the layer on a batched input. When `training` is true the layer
-  /// caches whatever it needs for backward().
-  virtual Tensor forward(const Tensor& input, bool training) = 0;
+  /// Inference: runs the layer on a batched input. Writes nothing, so
+  /// concurrent calls on one layer are safe.
+  virtual Tensor forward(const Tensor& input) const = 0;
+
+  /// Training: the same kernels as forward(), plus whatever backward() needs
+  /// is cached. Dropout and BatchNorm compute the training-mode function.
+  virtual Tensor forward_train(const Tensor& input) = 0;
 
   /// Propagates gradients; accumulates parameter gradients internally.
-  /// Must be preceded by forward(..., /*training=*/true).
+  /// Must be preceded by forward_train().
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
   /// Trainable parameters and their gradient buffers (parallel vectors).

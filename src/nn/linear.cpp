@@ -21,17 +21,10 @@ Linear::Linear(int in_features, int out_features, util::Rng& rng, bool bias)
   }
 }
 
-Tensor Linear::forward(const Tensor& input, bool training) {
+Tensor Linear::forward(const Tensor& input) const {
   if (input.rank() != 2 || input.dim(1) != in_features_)
     throw std::invalid_argument("Linear: expected [N," +
                                 std::to_string(in_features_) + "] input");
-  if (training) {
-    cached_input_ = input;
-  } else {
-    // See Conv2d::forward: a stale cache must not survive inference calls.
-    cached_input_ = Tensor();
-  }
-  has_cached_input_ = training;
   Tensor out = tensor::matmul_nt(input, weight_);  // [N, out]
   if (has_bias_) {
     const int n = out.dim(0);
@@ -45,11 +38,16 @@ Tensor Linear::forward(const Tensor& input, bool training) {
   return out;
 }
 
+Tensor Linear::forward_train(const Tensor& input) {
+  cached_input_ = input;
+  return forward(input);
+}
+
 Tensor Linear::backward(const Tensor& grad_out) {
-  if (!has_cached_input_)
+  if (cached_input_.empty())
     throw std::logic_error(
-        "Linear::backward: no cached input — call forward(training=true) "
-        "before backward");
+        "Linear::backward: no cached input — call forward_train before "
+        "backward");
   // dW = grad_out^T [N,out]^T * input [N,in] -> [out,in]
   weight_grad_.add_(tensor::matmul_tn(grad_out, cached_input_));
   if (has_bias_) {

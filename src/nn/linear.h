@@ -10,7 +10,8 @@ class Linear : public Layer {
  public:
   Linear(int in_features, int out_features, util::Rng& rng, bool bias = true);
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override;
@@ -36,8 +37,7 @@ class Linear : public Layer {
   bool has_bias_;
   Tensor weight_, bias_;
   Tensor weight_grad_, bias_grad_;
-  Tensor cached_input_;
-  bool has_cached_input_ = false;
+  Tensor cached_input_;  // set by forward_train; empty until then
 };
 
 }  // namespace cadmc::nn

@@ -45,17 +45,22 @@ std::unique_ptr<Layer> Model::take_layer(std::size_t i) {
   return layer;
 }
 
-Tensor Model::forward(const Tensor& input, bool training) {
-  return forward_range(input, 0, layers_.size(), training);
+Tensor Model::forward(const Tensor& input) const {
+  return forward_range(input, 0, layers_.size());
 }
 
 Tensor Model::forward_range(const Tensor& input, std::size_t begin,
-                            std::size_t end, bool training) {
+                            std::size_t end) const {
   if (begin > end || end > layers_.size())
     throw std::out_of_range("Model::forward_range");
   Tensor x = input;
-  for (std::size_t i = begin; i < end; ++i)
-    x = layers_[i]->forward(x, training);
+  for (std::size_t i = begin; i < end; ++i) x = layers_[i]->forward(x);
+  return x;
+}
+
+Tensor Model::forward_train(const Tensor& input) {
+  Tensor x = input;
+  for (auto& l : layers_) x = l->forward_train(x);
   return x;
 }
 

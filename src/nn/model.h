@@ -2,6 +2,10 @@
 // manipulates — it can be sliced into blocks (for the model tree), described
 // as the hyper-parameter string sequence of Eqn. (1), and profiled per layer
 // for MACCs and feature sizes at every possible cut point.
+//
+// Inference (forward, forward_range) is `const`: a model that is only
+// served is immutable, so threads share it without copies or locks. Only
+// training (forward_train, backward, the optimizer) writes layer state.
 #pragma once
 
 #include <memory>
@@ -38,12 +42,14 @@ class Model {
   const Shape& input_shape() const { return input_shape_; }
   void set_input_shape(Shape s) { input_shape_ = std::move(s); }
 
-  /// Full forward pass over a batched input tensor.
-  Tensor forward(const Tensor& input, bool training = false);
-  /// Forward through layers [begin, end).
-  Tensor forward_range(const Tensor& input, std::size_t begin, std::size_t end,
-                       bool training = false);
-  /// Backward pass; call after forward(..., training=true).
+  /// Full inference pass over a batched input tensor.
+  Tensor forward(const Tensor& input) const;
+  /// Inference through layers [begin, end).
+  Tensor forward_range(const Tensor& input, std::size_t begin,
+                       std::size_t end) const;
+  /// Training pass: caches what backward() needs in every layer.
+  Tensor forward_train(const Tensor& input);
+  /// Backward pass; call after forward_train().
   void backward(const Tensor& grad_out);
 
   std::vector<Tensor*> params();

@@ -10,31 +10,31 @@ MaxPool2d::MaxPool2d(int kernel, int stride) : kernel_(kernel), stride_(stride) 
     throw std::invalid_argument("MaxPool2d: invalid hyper-parameters");
 }
 
-Tensor MaxPool2d::forward(const Tensor& input, bool training) {
+Tensor MaxPool2d::forward(const Tensor& input) const {
   // Inference skips the argmax side-output entirely (and unlocks the
-  // vectorized fast-mode row kernel); training keeps only shape + argmax —
-  // never the input activation itself.
-  auto result = tensor::maxpool2d(input, kernel_, stride_, training);
-  if (training) {
-    cached_shape_ = input.shape();
-    cached_argmax_ = std::move(result.argmax);
-  } else {
-    cached_argmax_.clear();
-  }
-  has_cache_ = training;
+  // vectorized fast-mode row kernel).
+  return std::move(
+      tensor::maxpool2d(input, kernel_, stride_, /*with_argmax=*/false).output);
+}
+
+Tensor MaxPool2d::forward_train(const Tensor& input) {
+  // Training keeps only shape + argmax — never the input activation itself.
+  auto result = tensor::maxpool2d(input, kernel_, stride_, /*with_argmax=*/true);
+  cached_shape_ = input.shape();
+  cached_argmax_ = std::move(result.argmax);
   return std::move(result.output);
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  if (!has_cache_)
+  if (cached_shape_.empty())
     throw std::logic_error(
-        "MaxPool2d::backward: no cached argmax — call forward(training=true) "
-        "before backward");
+        "MaxPool2d::backward: no cached argmax — call forward_train before "
+        "backward");
   Tensor grad_in =
       tensor::maxpool2d_backward(cached_shape_, cached_argmax_, grad_out);
+  cached_shape_.clear();
   cached_argmax_.clear();
   cached_argmax_.shrink_to_fit();
-  has_cache_ = false;
   return grad_in;
 }
 
@@ -59,19 +59,22 @@ AvgPool2d::AvgPool2d(int kernel, int stride) : kernel_(kernel), stride_(stride) 
     throw std::invalid_argument("AvgPool2d: invalid hyper-parameters");
 }
 
-Tensor AvgPool2d::forward(const Tensor& input, bool training) {
-  if (training) cached_shape_ = input.shape();
-  has_cache_ = training;
+Tensor AvgPool2d::forward(const Tensor& input) const {
   return tensor::avgpool2d(input, kernel_, stride_);
 }
 
+Tensor AvgPool2d::forward_train(const Tensor& input) {
+  cached_shape_ = input.shape();
+  return forward(input);
+}
+
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  if (!has_cache_)
+  if (cached_shape_.empty())
     throw std::logic_error(
-        "AvgPool2d::backward: no cached shape — call forward(training=true) "
-        "before backward");
-  has_cache_ = false;
-  return tensor::avgpool2d_backward(cached_shape_, kernel_, stride_, grad_out);
+        "AvgPool2d::backward: no cached shape — call forward_train before "
+        "backward");
+  return tensor::avgpool2d_backward(std::exchange(cached_shape_, {}), kernel_,
+                                    stride_, grad_out);
 }
 
 LayerSpec AvgPool2d::spec() const {
@@ -90,19 +93,22 @@ std::unique_ptr<Layer> AvgPool2d::clone() const {
   return std::make_unique<AvgPool2d>(*this);
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& input, bool training) {
-  if (training) cached_shape_ = input.shape();
-  has_cache_ = training;
+Tensor GlobalAvgPool::forward(const Tensor& input) const {
   return tensor::global_avgpool(input);
 }
 
+Tensor GlobalAvgPool::forward_train(const Tensor& input) {
+  cached_shape_ = input.shape();
+  return forward(input);
+}
+
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
-  if (!has_cache_)
+  if (cached_shape_.empty())
     throw std::logic_error(
-        "GlobalAvgPool::backward: no cached shape — call "
-        "forward(training=true) before backward");
-  has_cache_ = false;
-  return tensor::global_avgpool_backward(cached_shape_, grad_out);
+        "GlobalAvgPool::backward: no cached shape — call forward_train "
+        "before backward");
+  return tensor::global_avgpool_backward(std::exchange(cached_shape_, {}),
+                                         grad_out);
 }
 
 LayerSpec GlobalAvgPool::spec() const {

@@ -3,10 +3,11 @@
 // measurements, so macc() stays 0.
 //
 // Backward needs only the input *shape* (plus, for max pooling, the argmax
-// routing), so no layer here retains a full input activation: forward
-// caches the shape, backward consumes the cache and releases it. A backward
-// without a training-mode forward — or a second backward on the same cache —
-// throws std::logic_error, matching the Conv2d/Linear stale-cache contract.
+// routing), so no layer here retains a full input activation:
+// forward_train caches the shape, backward consumes the cache and releases
+// it. A backward without a forward_train — or a second backward on the same
+// cache — throws std::logic_error, as Conv2d/Linear do. The `const` forward
+// never touches the cache.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,8 @@ class MaxPool2d : public Layer {
  public:
   MaxPool2d(int kernel, int stride);
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   LayerSpec spec() const override;
@@ -30,16 +32,16 @@ class MaxPool2d : public Layer {
 
  private:
   int kernel_, stride_;
-  Shape cached_shape_;
+  Shape cached_shape_;  // set by forward_train; empty until then
   std::vector<std::int64_t> cached_argmax_;
-  bool has_cache_ = false;
 };
 
 class AvgPool2d : public Layer {
  public:
   AvgPool2d(int kernel, int stride);
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   LayerSpec spec() const override;
@@ -48,8 +50,7 @@ class AvgPool2d : public Layer {
 
  private:
   int kernel_, stride_;
-  Shape cached_shape_;
-  bool has_cache_ = false;
+  Shape cached_shape_;  // set by forward_train; empty until then
 };
 
 /// [N,C,H,W] -> [N,C]; replaces FC heads under the F3 transform.
@@ -57,7 +58,8 @@ class GlobalAvgPool : public Layer {
  public:
   GlobalAvgPool() = default;
 
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) const override;
+  Tensor forward_train(const Tensor& input) override;
   Tensor backward(const Tensor& grad_out) override;
 
   LayerSpec spec() const override;
@@ -65,8 +67,7 @@ class GlobalAvgPool : public Layer {
   std::unique_ptr<Layer> clone() const override;
 
  private:
-  Shape cached_shape_;
-  bool has_cache_ = false;
+  Shape cached_shape_;  // set by forward_train; empty until then
 };
 
 }  // namespace cadmc::nn

@@ -133,7 +133,7 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
   {
     obs::ScopedSpan edge_span("edge_exec", &reg);
     edge_span.set_modelled_ms(eval.breakdown.edge_ms);
-    features = realized.model.forward_range(input, 0, realized.cut, false);
+    features = realized.model.forward_range(input, 0, realized.cut);
   }
   {
     obs::ScopedSpan transfer_span("transfer", &reg);
@@ -147,7 +147,7 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
     outcome.logits =
         realized.cut < realized.model.size()
             ? realized.model.forward_range(features, realized.cut,
-                                           realized.model.size(), false)
+                                           realized.model.size())
             : features;
   }
   outcome.latency_ms = eval.latency_ms;

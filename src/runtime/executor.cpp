@@ -9,14 +9,15 @@
 
 namespace cadmc::runtime {
 
-ExecutionResult execute_range(nn::Model& model, const tensor::Tensor& input,
-                              std::size_t begin, std::size_t end,
+ExecutionResult execute_range(const nn::Model& model,
+                              const tensor::Tensor& input, std::size_t begin,
+                              std::size_t end,
                               const latency::ComputeLatencyModel& device) {
   obs::ScopedSpan span("exec_range");
   ExecutionResult result;
   result.device_ms = device.range_latency_ms(model, begin, end);
   span.set_modelled_ms(result.device_ms);
-  result.output = model.forward_range(input, begin, end, /*training=*/false);
+  result.output = model.forward_range(input, begin, end);
   return result;
 }
 
@@ -24,7 +25,7 @@ CloudExecutor::CloudExecutor(nn::Model cloud_half,
                              latency::ComputeLatencyModel device,
                              GatewayConfig config)
     : device_(std::move(device)),
-      default_model_(std::make_shared<SessionModel>(std::move(cloud_half))),
+      model_(std::move(cloud_half)),
       gateway_([this](const GatewayRequest& request) { return handle(request); },
                config) {}
 
@@ -33,38 +34,18 @@ CloudExecutor::~CloudExecutor() { stop(); }
 std::uint16_t CloudExecutor::start() { return gateway_.start(); }
 void CloudExecutor::stop() { gateway_.stop(); }
 
-void CloudExecutor::register_session(std::uint64_t session_id,
-                                     nn::Model cloud_half) {
-  auto sm = std::make_shared<SessionModel>(std::move(cloud_half));
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  models_[session_id] = std::move(sm);
-}
-
-void CloudExecutor::unregister_session(std::uint64_t session_id) {
-  std::shared_ptr<SessionModel> doomed;  // destroyed outside the lock
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  auto it = models_.find(session_id);
-  if (it != models_.end()) {
-    doomed = std::move(it->second);
-    models_.erase(it);
-  }
-}
-
 void CloudExecutor::set_straggler_injector(FaultInjector* injector,
                                            double base_ms) {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard<std::mutex> lock(straggler_mutex_);
   straggler_injector_ = injector;
   straggler_base_ms_ = base_ms;
 }
 
 Blob CloudExecutor::handle(const GatewayRequest& request) {
   obs::ScopedSpan span("cloud_handle");
-  std::shared_ptr<SessionModel> sm;
   double straggle_ms = 0.0;
   {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    auto it = models_.find(request.session_id);
-    sm = it != models_.end() ? it->second : default_model_;
+    std::lock_guard<std::mutex> lock(straggler_mutex_);
     if (straggler_injector_ != nullptr) {
       // The injector's RNG streams are not thread-safe; draw under the lock.
       const double factor = straggler_injector_->next_straggler_factor();
@@ -76,13 +57,8 @@ Blob CloudExecutor::handle(const GatewayRequest& request) {
         std::chrono::duration<double, std::milli>(straggle_ms));
   std::size_t offset = 0;
   const tensor::Tensor features = tensor::decode_tensor(request.payload, offset);
-  ExecutionResult result;
-  {
-    // Forward passes mutate layer caches: one request per model at a time,
-    // but distinct sessions (distinct models) execute in parallel.
-    std::lock_guard<std::mutex> lock(sm->mutex);
-    result = execute_range(sm->model, features, 0, sm->model.size(), device_);
-  }
+  const ExecutionResult result =
+      execute_range(model_, features, 0, model_.size(), device_);
   span.set_modelled_ms(result.device_ms);
   Blob response = tensor::encode_tensor(result.output);
   tensor::Tensor ms({1});

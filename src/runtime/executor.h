@@ -1,14 +1,12 @@
 // Block execution: runs real tensors through model layer ranges while
 // reporting latency from the device's analytic model (the host CPU is not
-// the phone/TX2/cloud being modelled). The cloud executor owns the cloud
-// halves of one or more partitioned models behind a concurrent Gateway so
-// features can cross a real socket in the field demo — in multi-session
-// mode N FieldSessions share one executor, each with its own registered
-// cloud half keyed by session id.
+// the phone/TX2/cloud being modelled). The cloud executor serves one
+// immutable cloud half — the untouched base suffix base[cut:] — behind a
+// concurrent Gateway so features can cross a real socket in the field demo.
+// In multi-session mode N FieldSessions share one executor and its one
+// model; nothing is registered per session.
 #pragma once
 
-#include <map>
-#include <memory>
 #include <mutex>
 
 #include "latency/compute_model.h"
@@ -26,19 +24,18 @@ struct ExecutionResult {
 };
 
 /// Runs layers [begin, end) of `model` on `input`.
-ExecutionResult execute_range(nn::Model& model, const tensor::Tensor& input,
-                              std::size_t begin, std::size_t end,
+ExecutionResult execute_range(const nn::Model& model,
+                              const tensor::Tensor& input, std::size_t begin,
+                              std::size_t end,
                               const latency::ComputeLatencyModel& device);
 
-/// Cloud-side executor: serves cloud halves behind a concurrent Gateway.
+/// Cloud-side executor: serves one cloud half behind a concurrent Gateway.
 /// Protocol: request = encoded feature tensor, response = encoded logits
 /// followed by an encoded 1-element tensor holding the modelled cloud ms.
 ///
-/// Session routing: requests stamped with a registered session id execute
-/// that session's model; anonymous (id 0) or unknown ids fall back to the
-/// default model from the constructor. Gateway workers execute requests
-/// concurrently, so every model is guarded by its own mutex (forward passes
-/// mutate layer caches) while distinct sessions run genuinely in parallel.
+/// Every request, whatever its session id, runs on the one model from the
+/// constructor. Inference is a `const` pass, so the Gateway workers share
+/// that model and execute requests in parallel with no lock held.
 class CloudExecutor {
  public:
   CloudExecutor(nn::Model cloud_half, latency::ComputeLatencyModel device,
@@ -52,12 +49,8 @@ class CloudExecutor {
   /// sessions that cached the address reconnect without rediscovery.
   std::uint16_t port() const { return gateway_.port(); }
 
-  /// Multi-session mode: requests stamped with `session_id` run this model.
-  /// Safe while serving; replaces any previous registration for the id.
-  void register_session(std::uint64_t session_id, nn::Model cloud_half);
-  /// Safe while serving: a request mid-execution finishes on the (kept
-  /// alive) old model; later requests fall back to the default model.
-  void unregister_session(std::uint64_t session_id);
+  /// The model every request runs on.
+  const nn::Model& model() const { return model_; }
 
   /// Chaos hook: each handled request draws a straggler factor f >= 1 from
   /// `injector` and sleeps (f - 1) * base_ms before computing — server-side
@@ -66,20 +59,11 @@ class CloudExecutor {
   void set_straggler_injector(FaultInjector* injector, double base_ms = 20.0);
 
  private:
-  // shared_ptr so unregister/replace while a worker is mid-forward keeps the
-  // old model (and its mutex) alive until that worker finishes.
-  struct SessionModel {
-    explicit SessionModel(nn::Model m) : model(std::move(m)) {}
-    nn::Model model;
-    std::mutex mutex;  // forward passes mutate layer caches
-  };
-
   Blob handle(const GatewayRequest& request);
 
   latency::ComputeLatencyModel device_;
-  std::shared_ptr<SessionModel> default_model_;
-  mutable std::mutex registry_mutex_;  // guards models_ + injector fields
-  std::map<std::uint64_t, std::shared_ptr<SessionModel>> models_;
+  const nn::Model model_;
+  std::mutex straggler_mutex_;  // guards the injector fields (its RNG too)
   FaultInjector* straggler_injector_ = nullptr;
   double straggler_base_ms_ = 20.0;
   Gateway gateway_;

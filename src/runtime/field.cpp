@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/span.h"
@@ -9,15 +11,30 @@
 
 namespace cadmc::runtime {
 
+namespace {
+/// Same structure and bitwise-equal parameters.
+bool same_model(const nn::Model& a, const nn::Model& b) {
+  if (a.signature() != b.signature()) return false;
+  // params() is non-const only because optimizers write through it.
+  const auto pa = const_cast<nn::Model&>(a).params();
+  const auto pb = const_cast<nn::Model&>(b).params();
+  if (pa.size() != pb.size()) return false;
+  for (std::size_t i = 0; i < pa.size(); ++i)
+    if (pa[i]->shape() != pb[i]->shape() ||
+        std::memcmp(pa[i]->data().data(), pb[i]->data().data(),
+                    pa[i]->byte_size()) != 0)
+      return false;
+  return true;
+}
+}  // namespace
+
 FieldSession::FieldSession(engine::RealizedStrategy realized,
                            latency::ComputeLatencyModel edge_device,
                            latency::ComputeLatencyModel cloud_device,
                            net::BandwidthTrace trace, double rtt_ms,
                            double time_scale, FieldFaultConfig faults)
-    : cut_(realized.cut),
-      model_size_(realized.model.size()),
-      edge_model_(realized.model.slice(0, realized.cut)),
-      fallback_model_(realized.model.slice(realized.cut, realized.model.size())),
+    : model_(std::move(realized.model)),
+      cut_(realized.cut),
       edge_device_(std::move(edge_device)),
       trace_(std::move(trace)),
       rtt_ms_(rtt_ms),
@@ -28,18 +45,20 @@ FieldSession::FieldSession(engine::RealizedStrategy realized,
   // on so a fault dump exists even when metrics collection is off.
   obs::set_flight_recording(true);
   if (offloads()) {
+    nn::Model suffix = model_.slice(cut_, model_.size());
     std::uint16_t port = 0;
     if (faults_.shared_cloud != nullptr) {
-      // Multi-session mode: this session's cloud half rides the shared
-      // gateway, keyed by session id. start() is idempotent.
-      faults_.shared_cloud->register_session(
-          faults_.session_id,
-          realized.model.slice(realized.cut, realized.model.size()));
+      // Multi-session mode: the shared gateway serves one model for every
+      // session, so it must be exactly this session's suffix. start() is
+      // idempotent.
+      if (!same_model(suffix, faults_.shared_cloud->model()))
+        throw std::invalid_argument(
+            "FieldSession: cloud suffix differs from the shared executor's "
+            "model");
       port = faults_.shared_cloud->start();
     } else {
-      cloud_ = std::make_unique<CloudExecutor>(
-          realized.model.slice(realized.cut, realized.model.size()),
-          std::move(cloud_device));
+      cloud_ = std::make_unique<CloudExecutor>(std::move(suffix),
+                                               std::move(cloud_device));
       port = cloud_->start();
     }
     cloud_up_ = true;
@@ -60,8 +79,6 @@ TcpClientConfig FieldSession::client_config() const {
 FieldSession::~FieldSession() {
   client_.close();
   if (cloud_) cloud_->stop();
-  if (faults_.shared_cloud != nullptr && offloads())
-    faults_.shared_cloud->unregister_session(faults_.session_id);
 }
 
 obs::MetricsRegistry& FieldSession::metrics() const {
@@ -100,8 +117,8 @@ void FieldSession::restart_cloud() {
 FieldOutcome FieldSession::degrade_locally(FieldOutcome outcome,
                                            const tensor::Tensor& features) {
   outcome.degraded = true;
-  const ExecutionResult local = execute_range(
-      fallback_model_, features, 0, fallback_model_.size(), edge_device_);
+  const ExecutionResult local =
+      execute_range(model_, features, cut_, model_.size(), edge_device_);
   outcome.logits = local.output;
   outcome.cloud_ms = local.device_ms;  // the suffix pays edge-device prices
   if (obs::enabled())
@@ -118,7 +135,7 @@ FieldOutcome FieldSession::infer(const tensor::Tensor& input,
   tensor::Tensor features = input;
   if (cut_ > 0) {
     const ExecutionResult edge =
-        execute_range(edge_model_, input, 0, edge_model_.size(), edge_device_);
+        execute_range(model_, input, 0, cut_, edge_device_);
     outcome.edge_ms = edge.device_ms;
     features = edge.output;
   }

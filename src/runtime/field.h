@@ -46,9 +46,9 @@ struct FieldFaultConfig {
   obs::MetricsRegistry* metrics = nullptr;  // null = global registry
 
   // Multi-session mode: instead of owning a private CloudExecutor, the
-  // session registers its cloud half (keyed by session_id) with this shared
-  // one — N sessions then multiplex one gateway. Not owned; must outlive
-  // the session. session_id must be unique per session and non-zero for
+  // session offloads to this shared one — N sessions then share one gateway
+  // and one immutable model. Not owned; must outlive the session.
+  // session_id must be unique per session and non-zero for
   // duplicate-detection and per-session state to apply.
   CloudExecutor* shared_cloud = nullptr;
   std::uint64_t session_id = 0;
@@ -56,9 +56,11 @@ struct FieldFaultConfig {
 
 class FieldSession {
  public:
-  /// Takes a weight-faithful realized strategy; the cloud half is moved
-  /// behind a TcpServer. `time_scale` compresses real sleeping (0 disables
-  /// pacing entirely — transfer time is still computed, just not slept).
+  /// Takes a weight-faithful realized strategy. Throws std::invalid_argument
+  /// when `faults.shared_cloud` serves anything but its cloud suffix (same
+  /// signature(), bitwise-equal weights). `time_scale` compresses real
+  /// sleeping (0 disables pacing entirely — transfer time is still computed,
+  /// just not slept).
   FieldSession(engine::RealizedStrategy realized,
                latency::ComputeLatencyModel edge_device,
                latency::ComputeLatencyModel cloud_device,
@@ -72,7 +74,7 @@ class FieldSession {
   /// outcome is marked `degraded`.
   FieldOutcome infer(const tensor::Tensor& input, double t_virtual_ms);
 
-  bool offloads() const { return cut_ < model_size_; }
+  bool offloads() const { return cut_ < model_.size(); }
 
   /// Simulates a cloud-process crash: the executor stops serving and
   /// in-flight/future calls fail until restart_cloud(). In shared-cloud
@@ -93,9 +95,10 @@ class FieldSession {
   /// The executor this session's cloud half lives on (shared or owned).
   CloudExecutor* executor() const;
 
-  std::size_t cut_, model_size_;
-  nn::Model edge_model_;
-  nn::Model fallback_model_;  // uncompressed suffix, runnable on the edge
+  // Layers [0, cut_) run on the edge; [cut_, end) is the uncompressed
+  // suffix the cloud serves, which the edge also runs as the fallback.
+  nn::Model model_;
+  std::size_t cut_;
   latency::ComputeLatencyModel edge_device_;
   net::BandwidthTrace trace_;
   double rtt_ms_, time_scale_;

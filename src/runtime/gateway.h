@@ -1,7 +1,7 @@
 // Concurrent serving gateway — the cloud side of the edge/cloud runtime,
-// rebuilt for production traffic. Where the original TcpServer accepted one
-// connection at a time on a blocking loop (backlog 4, a second session
-// simply queued behind the first until the kernel dropped it), the Gateway
+// rebuilt for production traffic. Where the original blocking server
+// accepted one connection at a time (backlog 4, a second session simply
+// queued behind the first until the kernel dropped it), the Gateway
 // multiplexes many simultaneous edge sessions on an epoll reactor and
 // executes requests on a worker pool.
 //

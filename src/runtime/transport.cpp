@@ -17,7 +17,6 @@
 #include "obs/span.h"
 #include "obs/trace_export.h"
 #include "runtime/fault.h"
-#include "runtime/gateway.h"
 
 namespace cadmc::runtime {
 
@@ -218,24 +217,6 @@ double next_decorrelated_backoff_ms(util::Rng& rng, double prev_ms,
   const double hi = std::max(base_ms, std::min(prev_ms * 3.0, cap_ms));
   return rng.uniform(base_ms, hi);
 }
-
-TcpServer::TcpServer(RequestHandler handler, TcpServerConfig config) {
-  GatewayConfig gc;
-  gc.listen_backlog = config.listen_backlog;
-  gc.worker_threads = config.worker_threads;
-  gc.max_queue = config.max_queue;
-  RequestHandler h = std::move(handler);
-  gateway_ = std::make_unique<Gateway>(
-      [h = std::move(h)](const GatewayRequest& request) {
-        return h(request.payload);
-      },
-      gc);
-}
-
-TcpServer::~TcpServer() = default;
-
-std::uint16_t TcpServer::start() { return gateway_->start(); }
-void TcpServer::stop() { gateway_->stop(); }
 
 TcpClient::~TcpClient() { close(); }
 

@@ -24,8 +24,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -34,10 +32,8 @@
 namespace cadmc::runtime {
 
 class FaultInjector;
-class Gateway;
 
 using Blob = std::vector<std::uint8_t>;
-using RequestHandler = std::function<Blob(const Blob&)>;
 
 /// Thrown by TcpClient::call after deadlines/retries are exhausted.
 struct TransportError : std::runtime_error {
@@ -71,33 +67,6 @@ struct FrameMeta {
   std::uint64_t sequence = 0;   // per-call, stable across retries
   double deadline_ms = 0.0;     // request: remaining budget; 0 = unbounded
   FrameKind kind = FrameKind::kRequest;
-};
-
-struct TcpServerConfig {
-  int listen_backlog = 64;  // was a hardcoded 4: a burst of reconnecting
-                            // sessions must not die in the kernel SYN queue
-  int worker_threads = 2;
-  std::size_t max_queue = 64;  // admission-queue bound (see gateway.h)
-};
-
-/// Thin compatibility wrapper over runtime::Gateway (the concurrent serving
-/// reactor): same single-handler API as the original blocking server, but
-/// requests from many simultaneous connections are multiplexed and executed
-/// on a worker pool.
-class TcpServer {
- public:
-  explicit TcpServer(RequestHandler handler, TcpServerConfig config = {});
-  ~TcpServer();
-  TcpServer(const TcpServer&) = delete;
-  TcpServer& operator=(const TcpServer&) = delete;
-
-  /// Binds 127.0.0.1 on an ephemeral port, starts the reactor, and returns
-  /// the port. Throws std::runtime_error on socket failure.
-  std::uint16_t start();
-  void stop();
-
- private:
-  std::unique_ptr<Gateway> gateway_;
 };
 
 struct TcpClientConfig {

@@ -135,7 +135,7 @@ TEST(RealEval, DistilledTinyModelRetainsAccuracy) {
     nn::Sgd sgd(0.05, 0.9);
     for (int step = 0; step < 40; ++step) {
       const auto batch = loader.batch(step);
-      const auto logits = base.forward(batch.images, true);
+      const auto logits = base.forward_train(batch.images);
       const auto loss = nn::cross_entropy(logits, batch.labels);
       base.zero_grad();
       base.backward(loss.grad);

@@ -58,8 +58,8 @@ TEST(QuantizedConv, OutputCloseToOriginal) {
   nn::Conv2d conv(4, 8, 3, 1, 1, rng);
   nn::QuantizedConv2d qconv(conv, 8);
   const Tensor x = Tensor::randn({1, 4, 6, 6}, rng, 0.5f);
-  const Tensor y = conv.forward(x, false);
-  const Tensor yq = qconv.forward(x, false);
+  const Tensor y = conv.forward(x);
+  const Tensor yq = qconv.forward(x);
   EXPECT_LT(Tensor::max_abs_diff(y, yq) / std::max(1e-6f, y.abs_max()), 0.05f);
   EXPECT_EQ(qconv.spec().type, "conv_q8");
   EXPECT_EQ(qconv.name(), "conv_q8");

@@ -22,6 +22,7 @@
 #include "runtime/emulator.h"
 #include "runtime/fault.h"
 #include "runtime/field.h"
+#include "runtime/gateway.h"
 #include "runtime/shaper.h"
 #include "runtime/transport.h"
 
@@ -123,9 +124,9 @@ TEST(Framing, ShortReadRejected) {
 }
 
 TEST(Transport, DeadlineFiresInsteadOfHanging) {
-  TcpServer server([](const Blob& request) {
+  Gateway server([](const GatewayRequest& r) {
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    return request;
+    return r.payload;
   });
   const std::uint16_t port = server.start();
   TcpClient client;
@@ -145,7 +146,7 @@ TEST(Transport, DeadlineFiresInsteadOfHanging) {
 
 TEST(Transport, RetryRecoversFromDroppedFrame) {
   ScopedMetrics metrics;
-  TcpServer server([](const Blob& request) { return request; });
+  Gateway server([](const GatewayRequest& r) { return r.payload; });
   const std::uint16_t port = server.start();
 
   FaultPlan plan;
@@ -170,7 +171,7 @@ TEST(Transport, RetryRecoversFromDroppedFrame) {
 
 TEST(Transport, RetryRecoversFromCorruptAndTruncatedFrames) {
   ScopedMetrics metrics;
-  TcpServer server([](const Blob& request) { return request; });
+  Gateway server([](const GatewayRequest& r) { return r.payload; });
   const std::uint16_t port = server.start();
 
   FaultPlan plan;
@@ -203,7 +204,7 @@ TEST(Transport, ExhaustedRetriesThrowTransportError) {
   plan.frame_schedule = {FrameFault::kDrop, FrameFault::kDrop,
                          FrameFault::kDrop};
   FaultInjector injector(plan);
-  TcpServer server([](const Blob& request) { return request; });
+  Gateway server([](const GatewayRequest& r) { return r.payload; });
   const std::uint16_t port = server.start();
   TcpClient client;
   TcpClientConfig config;

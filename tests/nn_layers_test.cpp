@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "nn/activation.h"
@@ -25,7 +26,7 @@ using tensor::Tensor;
 /// backward() differentiates the training-mode function (BatchNorm differs).
 void check_layer_gradients(Layer& layer, const Tensor& input,
                            float tol = 3e-2f, float rel_tol = 0.03f) {
-  const Tensor out = layer.forward(input, true);
+  const Tensor out = layer.forward_train(input);
   layer.zero_grad();
   Tensor grad_out = out;
   grad_out.scale_(2.0f);
@@ -34,7 +35,7 @@ void check_layer_gradients(Layer& layer, const Tensor& input,
   const float eps = 2e-3f;
   util::Rng pick(1234);
   auto loss = [&](const Tensor& x) {
-    const Tensor y = layer.forward(x, true);
+    const Tensor y = layer.forward_train(x);
     double s = 0.0;
     for (std::int64_t i = 0; i < y.numel(); ++i)
       s += static_cast<double>(y.at(i)) * y.at(i);
@@ -107,18 +108,23 @@ TEST(Conv2dLayer, GradientCheck) {
   check_layer_gradients(conv, Tensor::randn({2, 2, 6, 6}, rng, 0.5f));
 }
 
-// Regression: backward() after forward(training=false) used to silently
-// differentiate against a stale (or empty) cached input; it must throw.
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(), a.byte_size()) == 0;
+}
+
+// backward() needs what forward_train() cached; the `const` inference
+// forward() caches nothing, so it never arms a backward.
 TEST(Conv2dLayer, BackwardWithoutTrainingForwardThrows) {
   util::Rng rng(41);
   Conv2d conv(2, 3, 3, 1, 1, rng);
   const Tensor x = Tensor::randn({1, 2, 5, 5}, rng);
   const Tensor grad = Tensor::randn({1, 3, 5, 5}, rng);
   EXPECT_THROW(conv.backward(grad), std::logic_error);  // never ran forward
-  conv.forward(x, true);
+  conv.forward(x);
+  EXPECT_THROW(conv.backward(grad), std::logic_error);  // inference only
+  conv.forward_train(x);
   EXPECT_NO_THROW(conv.backward(grad));
-  conv.forward(x, false);  // inference pass invalidates the cache
-  EXPECT_THROW(conv.backward(grad), std::logic_error);
 }
 
 TEST(LinearLayer, BackwardWithoutTrainingForwardThrows) {
@@ -127,10 +133,55 @@ TEST(LinearLayer, BackwardWithoutTrainingForwardThrows) {
   const Tensor x = Tensor::randn({2, 4}, rng);
   const Tensor grad = Tensor::randn({2, 3}, rng);
   EXPECT_THROW(fc.backward(grad), std::logic_error);
-  fc.forward(x, true);
-  EXPECT_NO_THROW(fc.backward(grad));
-  fc.forward(x, false);
+  fc.forward(x);
   EXPECT_THROW(fc.backward(grad), std::logic_error);
+  fc.forward_train(x);
+  EXPECT_NO_THROW(fc.backward(grad));
+}
+
+// Regression for the old stale-cache bug class: an inference pass between
+// forward_train(x) and backward() must not change what backward computes.
+// `layer` runs forward_train(x), forward(y), backward; a clone runs
+// forward_train(x), backward. Input and parameter gradients match bitwise.
+void check_const_forward_keeps_training_cache(Layer& layer, const Tensor& x,
+                                              const Tensor& y,
+                                              const Tensor& grad) {
+  auto twin = layer.clone();
+  layer.zero_grad();
+  twin->zero_grad();
+  layer.forward_train(x);
+  layer.forward(y);
+  const Tensor grad_in = layer.backward(grad);
+  twin->forward_train(x);
+  EXPECT_TRUE(bitwise_equal(grad_in, twin->backward(grad)));
+  const auto grads = layer.grads(), twin_grads = twin->grads();
+  ASSERT_EQ(grads.size(), twin_grads.size());
+  for (std::size_t i = 0; i < grads.size(); ++i)
+    EXPECT_TRUE(bitwise_equal(*grads[i], *twin_grads[i])) << "grad " << i;
+}
+
+TEST(Layer, ConstForwardBetweenTrainAndBackwardChangesNothing) {
+  util::Rng rng(43);
+  Conv2d conv(2, 3, 3, 1, 1, rng);
+  check_const_forward_keeps_training_cache(
+      conv, Tensor::randn({1, 2, 5, 5}, rng), Tensor::randn({2, 2, 5, 5}, rng),
+      Tensor::randn({1, 3, 5, 5}, rng));
+  Linear fc(4, 3, rng);
+  check_const_forward_keeps_training_cache(fc, Tensor::randn({2, 4}, rng),
+                                           Tensor::randn({5, 4}, rng),
+                                           Tensor::randn({2, 3}, rng));
+  MaxPool2d pool(2, 2);
+  check_const_forward_keeps_training_cache(
+      pool, Tensor::randn({1, 2, 4, 4}, rng), Tensor::randn({1, 2, 6, 6}, rng),
+      Tensor::randn({1, 2, 2, 2}, rng));
+  BatchNorm2d bn(2);
+  check_const_forward_keeps_training_cache(
+      bn, Tensor::randn({2, 2, 3, 3}, rng), Tensor::randn({1, 2, 3, 3}, rng),
+      Tensor::randn({2, 2, 3, 3}, rng));
+  ResidualBlock block(3, 3, 3, 1, false, rng);
+  check_const_forward_keeps_training_cache(
+      block, Tensor::randn({1, 3, 4, 4}, rng), Tensor::randn({2, 3, 4, 4}, rng),
+      Tensor::randn({1, 3, 4, 4}, rng));
 }
 
 TEST(Conv2dLayer, CloneIsIndependent) {
@@ -185,7 +236,7 @@ TEST(LinearLayer, ForwardMatchesManual) {
   fc.weight() = Tensor({2, 2}, {1, 2, 3, 4});
   fc.bias() = Tensor::from_values({0.5f, -0.5f});
   const Tensor x({1, 2}, {1.0f, 1.0f});
-  const Tensor y = fc.forward(x, false);
+  const Tensor y = fc.forward(x);
   EXPECT_EQ(y(0, 0), 3.5f);   // 1+2+0.5
   EXPECT_EQ(y(0, 1), 6.5f);   // 3+4-0.5
 }
@@ -206,7 +257,7 @@ TEST(LinearLayer, GradientCheck) {
 TEST(LinearLayer, WrongInputThrows) {
   util::Rng rng(14);
   Linear fc(5, 4, rng);
-  EXPECT_THROW(fc.forward(Tensor({2, 6}), false), std::invalid_argument);
+  EXPECT_THROW(fc.forward(Tensor({2, 6})), std::invalid_argument);
 }
 
 TEST(LinearLayer, SparsityReporting) {
@@ -220,7 +271,7 @@ TEST(LinearLayer, SparsityReporting) {
 TEST(ReLULayer, ForwardBackward) {
   ReLU relu;
   const Tensor x({1, 4}, {-1.0f, 0.0f, 2.0f, -3.0f});
-  const Tensor y = relu.forward(x, true);
+  const Tensor y = relu.forward_train(x);
   EXPECT_EQ(y(0, 0), 0.0f);
   EXPECT_EQ(y(0, 2), 2.0f);
   const Tensor g = relu.backward(Tensor::ones({1, 4}));
@@ -231,7 +282,7 @@ TEST(ReLULayer, ForwardBackward) {
 TEST(ReLULayer, Relu6Caps) {
   ReLU relu6(6.0f);
   const Tensor x({1, 2}, {10.0f, 3.0f});
-  const Tensor y = relu6.forward(x, true);
+  const Tensor y = relu6.forward_train(x);
   EXPECT_EQ(y(0, 0), 6.0f);
   const Tensor g = relu6.backward(Tensor::ones({1, 2}));
   EXPECT_EQ(g(0, 0), 0.0f);  // saturated
@@ -243,7 +294,7 @@ TEST(FlattenLayer, RoundTrip) {
   Flatten flatten;
   util::Rng rng(16);
   const Tensor x = Tensor::randn({2, 3, 4, 4}, rng);
-  const Tensor y = flatten.forward(x, true);
+  const Tensor y = flatten.forward_train(x);
   EXPECT_EQ(y.shape(), (Shape{2, 48}));
   const Tensor g = flatten.backward(Tensor::ones({2, 48}));
   EXPECT_EQ(g.shape(), x.shape());
@@ -254,13 +305,13 @@ TEST(DropoutLayer, IdentityAtInference) {
   Dropout dropout(0.5, 1);
   util::Rng rng(17);
   const Tensor x = Tensor::randn({2, 8}, rng);
-  EXPECT_EQ(Tensor::max_abs_diff(dropout.forward(x, false), x), 0.0f);
+  EXPECT_EQ(Tensor::max_abs_diff(dropout.forward(x), x), 0.0f);
 }
 
 TEST(DropoutLayer, ScalesKeptUnits) {
   Dropout dropout(0.5, 2);
   const Tensor x = Tensor::ones({1, 1000});
-  const Tensor y = dropout.forward(x, true);
+  const Tensor y = dropout.forward_train(x);
   int kept = 0;
   for (std::int64_t i = 0; i < y.numel(); ++i) {
     if (y.at(i) != 0.0f) {
@@ -280,7 +331,7 @@ TEST(BatchNormLayer, NormalizesBatchStatistics) {
   util::Rng rng(18);
   Tensor x = Tensor::randn({4, 2, 3, 3}, rng, 3.0f);
   x.add_(Tensor::full(x.shape(), 5.0f));
-  const Tensor y = bn.forward(x, true);
+  const Tensor y = bn.forward_train(x);
   // Per-channel output should be ~ zero-mean unit-variance.
   for (int c = 0; c < 2; ++c) {
     double mean = 0.0, var = 0.0;
@@ -375,7 +426,7 @@ TEST(SequentialBlockLayer, ComposesForwardAndShapes) {
   EXPECT_EQ(block.output_shape({2, 6, 6}), (Shape{4, 6, 6}));
   EXPECT_EQ(block.macc({2, 6, 6}), 9 * 2 * 4 * 36);
   EXPECT_EQ(block.name(), "test_block");
-  const Tensor out = block.forward(Tensor::ones({1, 2, 6, 6}), false);
+  const Tensor out = block.forward(Tensor::ones({1, 2, 6, 6}));
   EXPECT_EQ(out.dim(1), 4);
 }
 
@@ -405,7 +456,7 @@ TEST(Layer, ParamCountAndZeroGrad) {
   util::Rng rng(31);
   Conv2d conv(2, 3, 3, 1, 1, rng);
   EXPECT_EQ(conv.param_count(), 3 * 2 * 9 + 3);
-  conv.forward(Tensor::ones({1, 2, 4, 4}), true);
+  conv.forward_train(Tensor::ones({1, 2, 4, 4}));
   conv.backward(Tensor::ones({1, 3, 4, 4}));
   conv.zero_grad();
   for (Tensor* g : conv.grads()) EXPECT_EQ(g->abs_max(), 0.0f);
@@ -423,15 +474,16 @@ TEST(GlobalAvgPoolLayer, OutputShapeIsChannels) {
 }
 
 // Pooling layers cache only what backward needs (shape + argmax), consume the
-// cache in backward, and reject stale use — same contract as Conv2d/Linear.
+// cache in backward, and reject stale use. The const forward() never arms a
+// backward.
 TEST(MaxPoolLayer, BackwardWithoutTrainingForwardThrows) {
   MaxPool2d pool(2, 2);
   const Tensor input = Tensor::ones({1, 1, 4, 4});
   const Tensor grad = Tensor::ones({1, 1, 2, 2});
   EXPECT_THROW(pool.backward(grad), std::logic_error);
-  pool.forward(input, /*training=*/false);
+  pool.forward(input);
   EXPECT_THROW(pool.backward(grad), std::logic_error);
-  pool.forward(input, /*training=*/true);
+  pool.forward_train(input);
   const Tensor grad_in = pool.backward(grad);
   EXPECT_EQ(grad_in.shape(), input.shape());
   // The cache is released by backward: a second backward is stale.
@@ -443,7 +495,9 @@ TEST(AvgPoolLayer, BackwardReleasesCache) {
   const Tensor input = Tensor::ones({1, 1, 4, 4});
   const Tensor grad = Tensor::ones({1, 1, 2, 2});
   EXPECT_THROW(pool.backward(grad), std::logic_error);
-  pool.forward(input, /*training=*/true);
+  pool.forward(input);
+  EXPECT_THROW(pool.backward(grad), std::logic_error);
+  pool.forward_train(input);
   const Tensor grad_in = pool.backward(grad);
   EXPECT_EQ(grad_in.shape(), input.shape());
   EXPECT_THROW(pool.backward(grad), std::logic_error);
@@ -454,7 +508,9 @@ TEST(GlobalAvgPoolLayer, BackwardReleasesCache) {
   const Tensor input = Tensor::ones({2, 3, 4, 4});
   const Tensor grad = Tensor::ones({2, 3});
   EXPECT_THROW(gap.backward(grad), std::logic_error);
-  gap.forward(input, /*training=*/true);
+  gap.forward(input);
+  EXPECT_THROW(gap.backward(grad), std::logic_error);
+  gap.forward_train(input);
   const Tensor grad_in = gap.backward(grad);
   EXPECT_EQ(grad_in.shape(), input.shape());
   EXPECT_THROW(gap.backward(grad), std::logic_error);

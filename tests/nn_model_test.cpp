@@ -251,7 +251,7 @@ TEST(Training, MlpLearnsSeparableTask) {
   Sgd sgd(0.05, 0.9);
   double first_loss = 0.0, last_loss = 0.0;
   for (int step = 0; step < 150; ++step) {
-    const Tensor logits = mlp.forward(x, true);
+    const Tensor logits = mlp.forward_train(x);
     const LossResult loss = cross_entropy(logits, labels);
     if (step == 0) first_loss = loss.loss;
     last_loss = loss.loss;
@@ -260,7 +260,7 @@ TEST(Training, MlpLearnsSeparableTask) {
     sgd.step(mlp.params(), mlp.grads());
   }
   EXPECT_LT(last_loss, first_loss * 0.2);
-  EXPECT_GT(accuracy(mlp.forward(x, false), labels), 0.95);
+  EXPECT_GT(accuracy(mlp.forward(x), labels), 0.95);
 }
 
 TEST(Training, DistillationTransfersTeacherBehaviour) {
@@ -279,24 +279,24 @@ TEST(Training, DistillationTransfersTeacherBehaviour) {
   Model teacher = make_mlp(3, 16, 2, 49);
   Sgd sgd(0.05, 0.9);
   for (int step = 0; step < 120; ++step) {
-    const LossResult loss = cross_entropy(teacher.forward(x, true), labels);
+    const LossResult loss = cross_entropy(teacher.forward_train(x), labels);
     teacher.zero_grad();
     teacher.backward(loss.grad);
     sgd.step(teacher.params(), teacher.grads());
   }
   Model student = make_mlp(3, 8, 2, 50);
   Sgd student_sgd(0.05, 0.9);
-  const Tensor teacher_logits = teacher.forward(x, false);
+  const Tensor teacher_logits = teacher.forward(x);
   for (int step = 0; step < 200; ++step) {
-    const Tensor logits = student.forward(x, true);
+    const Tensor logits = student.forward_train(x);
     const LossResult loss =
         distillation_loss(logits, teacher_logits, labels, 3.0, 1.0);
     student.zero_grad();
     student.backward(loss.grad);
     student_sgd.step(student.params(), student.grads());
   }
-  const Tensor t_out = teacher.forward(x, false);
-  const Tensor s_out = student.forward(x, false);
+  const Tensor t_out = teacher.forward(x);
+  const Tensor s_out = student.forward(x);
   int agree = 0;
   for (int i = 0; i < n; ++i) {
     int t_best = t_out(i, 0) > t_out(i, 1) ? 0 : 1;

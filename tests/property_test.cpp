@@ -14,6 +14,7 @@
 #include "nn/linear.h"
 #include "nn/pool.h"
 #include "runtime/emulator.h"
+#include "runtime/gateway.h"
 #include "runtime/transport.h"
 
 namespace cadmc {
@@ -197,7 +198,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TransportFailure, ConnectToDeadServerThrows) {
   std::uint16_t port;
   {
-    runtime::TcpServer server([](const runtime::Blob& b) { return b; });
+    runtime::Gateway server(
+        [](const runtime::GatewayRequest& r) { return r.payload; });
     port = server.start();
     server.stop();
   }
@@ -212,7 +214,8 @@ TEST(TransportFailure, ConnectToDeadServerThrows) {
 }
 
 TEST(TransportFailure, OversizedFrameRejectedByServer) {
-  runtime::TcpServer server([](const runtime::Blob& b) { return b; });
+  runtime::Gateway server(
+      [](const runtime::GatewayRequest& r) { return r.payload; });
   const std::uint16_t port = server.start();
   runtime::TcpClient client;
   client.connect(port);

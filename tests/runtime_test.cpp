@@ -11,6 +11,7 @@
 #include "runtime/emulator.h"
 #include "runtime/executor.h"
 #include "runtime/field.h"
+#include "runtime/gateway.h"
 #include "runtime/shaper.h"
 #include "runtime/transport.h"
 #include "tensor/serialize.h"
@@ -56,7 +57,7 @@ TEST(Shaper, LaterStartAfterRecoveryIsFaster) {
 }
 
 TEST(Transport, EchoRoundTrip) {
-  TcpServer server([](const Blob& request) { return request; });
+  Gateway server([](const GatewayRequest& r) { return r.payload; });
   const std::uint16_t port = server.start();
   TcpClient client;
   client.connect(port);
@@ -67,8 +68,8 @@ TEST(Transport, EchoRoundTrip) {
 }
 
 TEST(Transport, LargePayloadAndMultipleCalls) {
-  TcpServer server([](const Blob& request) {
-    Blob out = request;
+  Gateway server([](const GatewayRequest& r) {
+    Blob out = r.payload;
     for (auto& b : out) b ^= 0xFF;
     return out;
   });

@@ -13,6 +13,9 @@
 //  * Duplicate-execution regression: a retry racing the still-executing
 //    original (provoked by a server-side straggler) executes the handler
 //    exactly once.
+//  * Shared model: one `const` model serves concurrent threads and gateway
+//    sessions bitwise like a serial forward; a FieldSession refuses a shared
+//    executor that serves any other suffix.
 //  * Chaos soak: 32 FieldSessions share one gateway through kill/restart,
 //    straggler and frame-corruption injection — zero hangs (watchdog),
 //    zero crashes, every inference returns correct logits.
@@ -27,6 +30,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -541,6 +545,107 @@ TEST(Gateway, AcceptOverflowIsCountedNotSilent) {
 }
 
 // ---------------------------------------------------------------------------
+// One immutable cloud model shared by every session
+// ---------------------------------------------------------------------------
+
+bool bitwise_equal(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(), a.byte_size()) == 0;
+}
+
+TEST(SharedModel, ConstForwardFromFourThreadsMatchesSerialBitwise) {
+  const nn::Model model = nn::make_tiny_cnn(4, 8, 50);
+  util::Rng rng(61);
+  std::vector<tensor::Tensor> inputs, serial;
+  for (int i = 0; i < 4; ++i) {
+    inputs.push_back(tensor::Tensor::randn({2, 3, 8, 8}, rng, 0.3f));
+    serial.push_back(model.forward(inputs.back()));
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 8; ++rep) {
+        const std::size_t i = static_cast<std::size_t>(t + rep) % inputs.size();
+        if (!bitwise_equal(model.forward(inputs[i]), serial[i])) ++mismatches;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(SharedModel, ExecutorServesConcurrentSessionsBitwiseLikeSerialSuffix) {
+  constexpr std::size_t kCut = 3;
+  constexpr int kSessions = 8, kCalls = 4;
+  const nn::Model base = nn::make_tiny_cnn(4, 8, 50);
+  GatewayConfig gc;
+  gc.worker_threads = 4;
+  CloudExecutor executor(base.slice(kCut, base.size()),
+                         latency::ComputeLatencyModel(latency::cloud_profile()),
+                         gc);
+  const std::uint16_t port = executor.start();
+
+  // Distinct features per session; the reference is a serial forward_range.
+  util::Rng rng(62);
+  std::vector<tensor::Tensor> features, expected;
+  for (int s = 0; s < kSessions; ++s) {
+    features.push_back(base.forward_range(
+        tensor::Tensor::randn({1, 3, 8, 8}, rng, 0.3f), 0, kCut));
+    expected.push_back(base.forward_range(features.back(), kCut, base.size()));
+  }
+  std::atomic<int> matches{0};
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&, s] {
+      TcpClient client;
+      TcpClientConfig cc;
+      cc.timeout_ms = 30'000.0;
+      cc.session_id = static_cast<std::uint64_t>(s) + 1;  // never registered
+      client.connect(port, cc);
+      const auto i = static_cast<std::size_t>(s);
+      for (int call = 0; call < kCalls; ++call)
+        if (bitwise_equal(call_cloud(client, features[i]).logits, expected[i]))
+          ++matches;
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(matches.load(), kSessions * kCalls);
+  executor.stop();
+}
+
+TEST(SharedModel, FieldSessionRejectsASharedExecutorServingAnotherSuffix) {
+  const nn::Model base = nn::make_tiny_cnn(4, 8, 50);
+  compress::TechniqueRegistry techniques;
+  const auto session = [&](std::size_t cut, CloudExecutor& shared) {
+    Strategy s;
+    s.cut = cut;
+    s.plan.assign(base.size(), TechniqueId::kNone);
+    util::Rng rng(63);
+    FieldFaultConfig faults;
+    faults.shared_cloud = &shared;
+    faults.session_id = 1;
+    return std::make_unique<FieldSession>(
+        engine::realize_strategy(base, s, techniques, rng),
+        latency::ComputeLatencyModel(latency::phone_profile()),
+        latency::ComputeLatencyModel(latency::cloud_profile()),
+        net::BandwidthTrace(100.0, std::vector<double>(10, 500.0)), 10.0,
+        /*time_scale=*/0.0, faults);
+  };
+  const latency::ComputeLatencyModel cloud(latency::cloud_profile());
+  CloudExecutor shared(base.slice(3, base.size()), cloud);
+  EXPECT_NO_THROW(session(3, shared));
+  // A different cut: the suffix has another signature.
+  EXPECT_THROW(session(2, shared), std::invalid_argument);
+  // Same structure, different weights.
+  const nn::Model other = nn::make_tiny_cnn(4, 8, 51);
+  ASSERT_EQ(other.signature(), base.signature());
+  CloudExecutor retrained(other.slice(3, other.size()), cloud);
+  EXPECT_THROW(session(3, retrained), std::invalid_argument);
+  shared.stop();
+}
+
+// ---------------------------------------------------------------------------
 // Chaos soak: the acceptance scenario
 // ---------------------------------------------------------------------------
 
@@ -662,7 +767,6 @@ TEST(ChaosSoak, ThirtyTwoSessionsSurviveKillsStragglersAndCorruption) {
   chaos_running.store(false);
   for (auto& t : threads) t.join();
   chaos.join();
-  shared.start();  // leave it up so session destructors unregister cleanly
 
   const int total = kSessions * kInfersPerSession;
   EXPECT_EQ(correct.load() + wrong.load(), total);  // zero hangs, zero losses

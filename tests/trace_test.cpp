@@ -22,6 +22,7 @@
 #include "obs/span.h"
 #include "obs/trace_export.h"
 #include "runtime/field.h"
+#include "runtime/gateway.h"
 #include "runtime/transport.h"
 #include "util/csv.h"
 
@@ -152,9 +153,9 @@ TEST(TraceWireFormat, TruncatedHeaderFailsCleanly) {
 /// transport span — one causal tree per request across the socket.
 TEST(DistributedTrace, ServerSpansJoinClientTrace) {
   ScopedMetrics scoped;
-  TcpServer server([](const Blob& request) {
+  Gateway server([](const GatewayRequest& r) {
     obs::ScopedSpan span("cloud_work");
-    return request;
+    return r.payload;
   });
   const std::uint16_t port = server.start();
   TcpClient client;
@@ -219,9 +220,9 @@ TEST(DistributedTrace, ChromeTraceExportIsWellFormed) {
 /// processes merge into single causal trees keyed by their shared trace ids.
 TEST(DistributedTrace, JsonlMergeRebuildsOneTrace) {
   ScopedMetrics scoped;
-  TcpServer server([](const Blob& request) {
+  Gateway server([](const GatewayRequest& r) {
     obs::ScopedSpan span("cloud_work");
-    return request;
+    return r.payload;
   });
   const std::uint16_t port = server.start();
   TcpClient client;
