@@ -1,8 +1,9 @@
 // DecisionEngine — the library's top-level facade (Fig. 2). Offline, it
 // generates the scene's bandwidth trace, derives the K bandwidth types from
-// its quartiles, trains the RL controllers and produces the context-aware
-// model tree. Online, it composes a DNN from the tree per Alg. 2 at each
-// inference, optionally running the composed model on real tensors.
+// its quartiles, trains the RL controllers, produces the context-aware
+// model tree and realizes its paths with faithful weights. Online, it
+// composes a DNN from the tree per Alg. 2 at each inference and runs the
+// pre-realized path on real tensors.
 #pragma once
 
 #include <memory>
@@ -11,6 +12,7 @@
 #include "net/scenes.h"
 #include "runtime/emulator.h"
 #include "runtime/fault.h"
+#include "tree/realized_tree.h"
 #include "tree/tree_search.h"
 
 namespace cadmc::obs {
@@ -54,8 +56,8 @@ class DecisionEngine {
   DecisionEngine(DecisionEngine&&) = delete;
   DecisionEngine& operator=(DecisionEngine&&) = delete;
 
-  /// Offline phase (Fig. 2, top): trains controllers and builds the tree.
-  /// Must be called before tree()/infer().
+  /// Offline phase (Fig. 2, top): trains controllers, builds the tree and
+  /// realizes every path of it once. Must be called before tree()/infer().
   void train_offline();
   bool trained() const { return search_result_.has_value(); }
 
@@ -68,9 +70,9 @@ class DecisionEngine {
   const tree::TreeSearchResult& search_result() const;
 
   /// Online phase: composes a strategy from the tree per Alg. 2 using the
-  /// estimator's bandwidth readings starting at `t_ms`, realizes it with
-  /// faithful weights, runs the forward pass, and reports the modelled
-  /// latency on the configured devices.
+  /// estimator's bandwidth readings starting at `t_ms`, runs the realized
+  /// path for the forks taken, and reports the modelled latency on the
+  /// configured devices. The logits are a pure function of (input, forks).
   struct InferenceOutcome {
     tensor::Tensor logits;
     engine::Strategy strategy;
@@ -103,8 +105,7 @@ class DecisionEngine {
   std::vector<double> fork_bandwidths_;
   std::unique_ptr<engine::StrategyEvaluator> evaluator_;
   std::optional<tree::TreeSearchResult> search_result_;
-  compress::TechniqueRegistry faithful_registry_;
-  util::Rng realize_rng_{0xFA17};
+  tree::RealizedTree realized_;  // shares base_'s layers
   CircuitBreaker breaker_;
 };
 

@@ -340,9 +340,13 @@ TEST(Observability, DecisionEngineInferPopulatesSpansAndCounters) {
 
   const obs::RunReport report = obs::make_report(local);
   for (const char* name :
-       {"infer", "compose", "estimate", "realize", "edge_exec", "transfer",
-        "cloud_exec"})
+       {"train_offline", "realize_tree", "infer", "compose", "estimate",
+        "edge_exec", "transfer", "cloud_exec"})
     EXPECT_EQ(report.spans.count(name), 1u) << "missing span: " << name;
+  // Paths are realized once, offline; inference only runs them.
+  EXPECT_EQ(report.spans.count("realize"), 0u);
+  EXPECT_EQ(report.spans.at("train_offline").depth, 0);
+  EXPECT_GT(report.spans.at("realize_tree").depth, 0);
   EXPECT_EQ(report.spans.at("infer").depth, 0);
   EXPECT_GT(report.spans.at("compose").depth, 0);
   EXPECT_EQ(report.counters.at("cadmc.runtime.inferences"), 1);

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -612,6 +613,60 @@ TEST(DecisionEngineFault, OpenBreakerForcesAllEdgeInference) {
     EXPECT_EQ(outcome.strategy.cut, engine.base().size());
     EXPECT_TRUE(outcome.degraded);
   }
+}
+
+bool bitwise_equal(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(), a.byte_size()) == 0;
+}
+
+TEST(DecisionEngineFault, OpenBreakerRunsRealizedPrefixThenBaseSuffix) {
+  // VGG11 on "4G outdoor quick" with this budget trains a tree whose forks
+  // offload both an uncompressed plan (cut 0) and a C1-compressed one, so
+  // with the breaker open both kinds of plan degrade to a local run.
+  EngineConfig config;
+  config.scene = net::scene_by_name("4G outdoor quick");
+  config.tree_config.episodes = 1;
+  config.tree_config.branch_config.episodes = 80;
+  config.breaker.failure_threshold = 1;
+  config.breaker.probe_interval = 1000;  // no probe inside this test
+  DecisionEngine engine(nn::make_vgg11(10), std::move(config));
+  engine.train_offline();
+  engine.breaker().record_failure();
+  ASSERT_EQ(engine.breaker().state(), CircuitBreaker::State::kOpen);
+
+  data::SynthCifar dataset(32, 10, 61);
+  const auto x = dataset.make_batch(0, 1).images;
+  const compress::TechniqueRegistry faithful;
+  bool saw_plain = false, saw_compressed = false;
+  for (double t_ms = 500.0; t_ms < engine.trace().duration_ms() &&
+                            !(saw_plain && saw_compressed);
+       t_ms += 750.0) {
+    const auto outcome = engine.infer(x, t_ms);
+    if (!outcome.degraded) continue;
+    EXPECT_EQ(outcome.strategy.cut, engine.base().size());
+    const Strategy composed =
+        engine.tree().strategy_for_path(outcome.forks).strategy;
+    const bool compressed =
+        std::any_of(composed.plan.begin(), composed.plan.end(),
+                    [](TechniqueId id) { return id != TechniqueId::kNone; });
+    if (compressed ? saw_compressed : saw_plain) continue;
+    (compressed ? saw_compressed : saw_plain) = true;
+    if (!compressed) {
+      EXPECT_TRUE(bitwise_equal(outcome.logits, engine.base().forward(x)));
+      continue;
+    }
+    // The realized prefix under the path's seed, then the base suffix: the
+    // same bits as realizing the plan with the cut moved to the end.
+    Strategy all_edge = composed;
+    all_edge.cut = engine.base().size();
+    util::Rng rng(tree::RealizedTree::path_seed(composed));
+    const engine::RealizedStrategy oracle =
+        engine::realize_strategy(engine.base(), all_edge, faithful, rng);
+    EXPECT_TRUE(bitwise_equal(outcome.logits, oracle.model.forward(x)));
+  }
+  EXPECT_TRUE(saw_plain) << "no uncompressed plan was degraded";
+  EXPECT_TRUE(saw_compressed) << "no compressed plan was degraded";
 }
 
 }  // namespace
