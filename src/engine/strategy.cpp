@@ -29,9 +29,9 @@ std::string Strategy::key() const {
   return ss.str();
 }
 
-RealizedStrategy realize_strategy(const nn::Model& base, const Strategy& s,
-                                  const compress::TechniqueRegistry& registry,
-                                  util::Rng& rng) {
+nn::Model realize_edge_prefix(const nn::Model& base, const Strategy& s,
+                              const compress::TechniqueRegistry& registry,
+                              util::Rng& rng) {
   if (s.plan.size() != base.size())
     throw std::invalid_argument("realize_strategy: plan size mismatch");
   if (s.cut > base.size())
@@ -44,7 +44,13 @@ RealizedStrategy realize_strategy(const nn::Model& base, const Strategy& s,
   std::vector<compress::TechniqueId> edge_plan(s.plan.begin(),
                                                s.plan.begin() + static_cast<std::ptrdiff_t>(s.cut));
   registry.apply_plan(edge_plan, edge, rng);
+  return edge;
+}
 
+RealizedStrategy realize_strategy(const nn::Model& base, const Strategy& s,
+                                  const compress::TechniqueRegistry& registry,
+                                  util::Rng& rng) {
+  nn::Model edge = realize_edge_prefix(base, s, registry, rng);
   RealizedStrategy out;
   out.model = nn::Model(base.input_shape());
   out.model.append(edge);

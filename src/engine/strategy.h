@@ -54,6 +54,12 @@ struct RealizedStrategy {
 RealizedStrategy realize_strategy(const nn::Model& base, const Strategy& s,
                                   const compress::TechniqueRegistry& registry,
                                   util::Rng& rng);
+/// The edge half of realize_strategy: base layers [0, s.cut) with the plan
+/// applied. Consumes `rng` exactly as realize_strategy does, so both yield
+/// the same weights from the same seed.
+nn::Model realize_edge_prefix(const nn::Model& base, const Strategy& s,
+                              const compress::TechniqueRegistry& registry,
+                              util::Rng& rng);
 
 class StrategyEvaluator {
  public:
