@@ -73,17 +73,6 @@ std::string num(double v) {
   return buf;
 }
 
-double field_or(const std::map<std::string, std::string>& event,
-                const std::string& key, double fallback) {
-  const auto it = event.find(key);
-  if (it == event.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    return fallback;
-  }
-}
-
 }  // namespace
 
 std::string perf_json(const PerfStats& stats) {
@@ -127,17 +116,18 @@ bool load_perf_json(const std::string& path, PerfStats& stats) {
     stats.name = name->second;
     const auto unit = event.find("unit");
     stats.unit = unit != event.end() ? unit->second : "us";
-    stats.repetitions = static_cast<int>(field_or(event, "repetitions", 0));
-    stats.warmup = static_cast<int>(field_or(event, "warmup", 0));
-    stats.p50 = field_or(event, "p50", 0.0);
-    stats.p90 = field_or(event, "p90", 0.0);
-    stats.p99 = field_or(event, "p99", 0.0);
-    stats.mean = field_or(event, "mean", 0.0);
-    stats.min = field_or(event, "min", 0.0);
-    stats.max = field_or(event, "max", 0.0);
-    stats.throughput_per_s = field_or(event, "throughput_per_s", 0.0);
+    stats.repetitions =
+        static_cast<int>(obs::event_double(event, "repetitions"));
+    stats.warmup = static_cast<int>(obs::event_double(event, "warmup"));
+    stats.p50 = obs::event_double(event, "p50");
+    stats.p90 = obs::event_double(event, "p90");
+    stats.p99 = obs::event_double(event, "p99");
+    stats.mean = obs::event_double(event, "mean");
+    stats.min = obs::event_double(event, "min");
+    stats.max = obs::event_double(event, "max");
+    stats.throughput_per_s = obs::event_double(event, "throughput_per_s");
     stats.speedup_vs_deterministic =
-        field_or(event, "speedup_vs_deterministic", 0.0);
+        obs::event_double(event, "speedup_vs_deterministic");
     return true;
   }
   return false;

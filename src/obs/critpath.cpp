@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <unordered_map>
@@ -19,12 +18,6 @@ namespace {
 // Chrome JSON), so two back-to-back spans can land a hair apart. A sibling
 // ending within this of another's start still counts as "before".
 constexpr double kOrderEps = 1e-6;
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
 
 double span_end(const SpanRecord& s) { return s.start_ms + s.wall_ms; }
 
@@ -238,11 +231,15 @@ TraceProfile profile_one_trace(std::uint64_t trace_id,
     lo = std::min(lo, node.span.start_ms);
     hi = std::max(hi, span_end(node.span));
     trace.total_work_ms += node.self_ms;
+    trace.total_wall_ms += node.span.wall_ms;
   }
   trace.makespan_ms = trace.nodes.empty() ? 0.0 : hi - lo;
-  if (!roots.empty())
-    trace.root_name =
-        trace.nodes[static_cast<std::size_t>(roots.front())].span.name;
+  if (!roots.empty()) {
+    const SpanRecord& root =
+        trace.nodes[static_cast<std::size_t>(roots.front())].span;
+    trace.root_name = root.name;
+    trace.root_wall_ms = root.wall_ms;
+  }
   trace.parallelism = trace.critical_path_ms > 0.0
                           ? trace.total_work_ms / trace.critical_path_ms
                           : 1.0;
@@ -263,7 +260,7 @@ ProfileReport profile_spans(const std::vector<SpanRecord>& spans) {
     report.work_total_ms += trace.total_work_ms;
     for (const CritNode& node : trace.nodes) {
       CritPathStats& stats = report.by_name[node.span.name];
-      ++stats.count;
+      if (stats.count++ == 0) stats.depth = node.span.depth;
       stats.total_wall_ms += node.span.wall_ms;
       stats.total_self_ms += node.self_ms;
       if (node.span.modelled_ms >= 0.0)
@@ -301,26 +298,6 @@ ProfileReport profile_registry(const MetricsRegistry& registry) {
 std::vector<SpanRecord> spans_from_events(
     const std::vector<std::map<std::string, std::string>>& events) {
   std::vector<SpanRecord> spans;
-  const auto to_double = [](const std::map<std::string, std::string>& e,
-                            const char* key, double fallback) {
-    const auto it = e.find(key);
-    if (it == e.end() || it->second.empty()) return fallback;
-    try {
-      return std::stod(it->second);
-    } catch (const std::exception&) {
-      return fallback;
-    }
-  };
-  const auto to_u64 = [](const std::map<std::string, std::string>& e,
-                         const char* key) -> std::uint64_t {
-    const auto it = e.find(key);
-    if (it == e.end() || it->second.empty()) return 0;
-    try {
-      return std::stoull(it->second);
-    } catch (const std::exception&) {
-      return 0;
-    }
-  };
   for (const auto& event : events) {
     const auto type = event.find("type");
     if (type == event.end() || type->second != "span") continue;
@@ -328,13 +305,13 @@ std::vector<SpanRecord> spans_from_events(
     if (name == event.end() || name->second.empty()) continue;
     SpanRecord s;
     s.name = name->second;
-    s.id = to_u64(event, "id");
-    s.parent_id = to_u64(event, "parent");
-    s.trace_id = to_u64(event, "trace");
-    s.depth = static_cast<int>(to_double(event, "depth", 0.0));
-    s.start_ms = to_double(event, "start_ms", 0.0);
-    s.wall_ms = to_double(event, "wall_ms", 0.0);
-    s.modelled_ms = to_double(event, "modelled_ms", -1.0);
+    s.id = event_u64(event, "id");
+    s.parent_id = event_u64(event, "parent");
+    s.trace_id = event_u64(event, "trace");
+    s.depth = static_cast<int>(event_double(event, "depth"));
+    s.start_ms = event_double(event, "start_ms");
+    s.wall_ms = event_double(event, "wall_ms");
+    s.modelled_ms = event_double(event, "modelled_ms", -1.0);
     spans.push_back(std::move(s));
   }
   return spans;
@@ -436,37 +413,16 @@ std::vector<SpanRecord> spans_from_chrome_trace(const std::string& json) {
     if (i >= json.size() || json[i] == ']') break;
     std::map<std::string, std::string> fields;
     i = scan_object(json, i, "", fields);
-    const auto get = [&](const char* key) -> const std::string* {
-      const auto it = fields.find(key);
-      return it != fields.end() ? &it->second : nullptr;
-    };
-    const std::string* name = get("name");
-    const std::string* ts = get("ts");
-    if (name == nullptr || ts == nullptr) continue;
-    const auto to_double = [](const std::string* s, double fallback) {
-      if (s == nullptr || s->empty()) return fallback;
-      try {
-        return std::stod(*s);
-      } catch (const std::exception&) {
-        return fallback;
-      }
-    };
-    const auto to_u64 = [](const std::string* s) -> std::uint64_t {
-      if (s == nullptr || s->empty()) return 0;
-      try {
-        return std::stoull(*s);
-      } catch (const std::exception&) {
-        return 0;
-      }
-    };
+    const auto name = fields.find("name");
+    if (name == fields.end() || fields.count("ts") == 0) continue;
     SpanRecord s;
-    s.name = *name;
-    s.start_ms = to_double(ts, 0.0) / 1000.0;  // Chrome ts/dur are µs
-    s.wall_ms = to_double(get("dur"), 0.0) / 1000.0;
-    s.trace_id = to_u64(get("pid"));
-    s.id = to_u64(get("args.id"));
-    s.parent_id = to_u64(get("args.parent"));
-    s.modelled_ms = to_double(get("args.modelled_ms"), -1.0);
+    s.name = name->second;
+    s.start_ms = event_double(fields, "ts") / 1000.0;  // Chrome ts/dur are µs
+    s.wall_ms = event_double(fields, "dur") / 1000.0;
+    s.trace_id = event_u64(fields, "pid");
+    s.id = event_u64(fields, "args.id");
+    s.parent_id = event_u64(fields, "args.parent");
+    s.modelled_ms = event_double(fields, "args.modelled_ms", -1.0);
     spans.push_back(std::move(s));
   }
   return spans;
@@ -559,27 +515,28 @@ std::string render_profile(const ProfileReport& report, std::size_t top) {
 std::string profile_jsonl(const ProfileReport& report) {
   std::ostringstream out;
   out << "{\"type\":\"critpath\",\"traces\":" << report.traces.size()
-      << ",\"critical_ms\":" << num(report.critical_total_ms)
-      << ",\"work_ms\":" << num(report.work_total_ms)
-      << ",\"parallelism\":" << num(report.parallelism)
+      << ",\"critical_ms\":" << num_g12(report.critical_total_ms)
+      << ",\"work_ms\":" << num_g12(report.work_total_ms)
+      << ",\"parallelism\":" << num_g12(report.parallelism)
       << ",\"bottleneck\":\"" << json_escape(report.bottleneck)
-      << "\",\"bottleneck_share\":" << num(report.bottleneck_share) << "}\n";
+      << "\",\"bottleneck_share\":" << num_g12(report.bottleneck_share)
+      << "}\n";
   for (const auto& [name, stats] : report.by_name)
     out << "{\"type\":\"critpath_name\",\"name\":\"" << json_escape(name)
         << "\",\"count\":" << stats.count
         << ",\"critical_count\":" << stats.critical_count
-        << ",\"wall_ms\":" << num(stats.total_wall_ms)
-        << ",\"self_ms\":" << num(stats.total_self_ms)
-        << ",\"critical_self_ms\":" << num(stats.critical_self_ms)
-        << ",\"modelled_ms\":" << num(stats.total_modelled_ms) << "}\n";
+        << ",\"wall_ms\":" << num_g12(stats.total_wall_ms)
+        << ",\"self_ms\":" << num_g12(stats.total_self_ms)
+        << ",\"critical_self_ms\":" << num_g12(stats.critical_self_ms)
+        << ",\"modelled_ms\":" << num_g12(stats.total_modelled_ms) << "}\n";
   for (const TraceProfile& t : report.traces) {
     out << "{\"type\":\"critpath_trace\",\"trace\":" << t.trace_id
         << ",\"root\":\"" << json_escape(t.root_name)
         << "\",\"spans\":" << t.span_count
-        << ",\"makespan_ms\":" << num(t.makespan_ms)
-        << ",\"critical_ms\":" << num(t.critical_path_ms)
-        << ",\"work_ms\":" << num(t.total_work_ms)
-        << ",\"parallelism\":" << num(t.parallelism) << ",\"path\":\"";
+        << ",\"makespan_ms\":" << num_g12(t.makespan_ms)
+        << ",\"critical_ms\":" << num_g12(t.critical_path_ms)
+        << ",\"work_ms\":" << num_g12(t.total_work_ms)
+        << ",\"parallelism\":" << num_g12(t.parallelism) << ",\"path\":\"";
     bool first = true;
     for (int n : t.critical_nodes) {
       if (!first) out << ">";
@@ -596,22 +553,22 @@ std::string profile_csv(const ProfileReport& report) {
   out << "kind,name,count,critical_count,wall_ms,self_ms,critical_self_ms,"
          "share\n";
   out << "summary," << csv_escape(report.bottleneck) << ","
-      << report.traces.size() << ",," << num(report.critical_total_ms) << ","
-      << num(report.work_total_ms) << ",," << num(report.bottleneck_share)
-      << "\n";
+      << report.traces.size() << ",," << num_g12(report.critical_total_ms)
+      << "," << num_g12(report.work_total_ms) << ",,"
+      << num_g12(report.bottleneck_share) << "\n";
   for (const auto& [name, stats] : report.by_name) {
     const double share = report.critical_total_ms > 0.0
                              ? stats.critical_self_ms / report.critical_total_ms
                              : 0.0;
     out << "name," << csv_escape(name) << "," << stats.count << ","
-        << stats.critical_count << "," << num(stats.total_wall_ms) << ","
-        << num(stats.total_self_ms) << "," << num(stats.critical_self_ms)
-        << "," << num(share) << "\n";
+        << stats.critical_count << "," << num_g12(stats.total_wall_ms) << ","
+        << num_g12(stats.total_self_ms) << ","
+        << num_g12(stats.critical_self_ms) << "," << num_g12(share) << "\n";
   }
   for (const TraceProfile& t : report.traces)
     out << "trace," << csv_escape(t.root_name) << "," << t.span_count << ",,"
-        << num(t.makespan_ms) << "," << num(t.total_work_ms) << ","
-        << num(t.critical_path_ms) << "," << num(t.parallelism) << "\n";
+        << num_g12(t.makespan_ms) << "," << num_g12(t.total_work_ms) << ","
+        << num_g12(t.critical_path_ms) << "," << num_g12(t.parallelism) << "\n";
   return out.str();
 }
 

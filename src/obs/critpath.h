@@ -58,7 +58,9 @@ struct CritNode {
 struct TraceProfile {
   std::uint64_t trace_id = 0;
   std::string root_name;           // first root's name
+  double root_wall_ms = 0.0;       // first root's wall time
   std::size_t span_count = 0;
+  double total_wall_ms = 0.0;      // sum of every span's wall time
   double makespan_ms = 0.0;        // max end - min start over all spans
   double critical_path_ms = 0.0;   // longest dependency chain of the trace
   double total_work_ms = 0.0;      // sum of self times
@@ -70,6 +72,8 @@ struct TraceProfile {
 /// Per-span-name statistics aggregated across every trace of a run.
 struct CritPathStats {
   std::uint64_t count = 0;          // span instances
+  int depth = 0;                    // SpanRecord::depth of the first instance
+                                    // (lowest trace id, then earliest start)
   std::uint64_t critical_count = 0; // instances on a critical path
   double total_wall_ms = 0.0;
   double total_self_ms = 0.0;

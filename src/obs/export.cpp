@@ -1,6 +1,7 @@
 #include "obs/export.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -13,8 +14,15 @@ namespace cadmc::obs {
 
 namespace {
 
-std::string num(double v) {
-  // Shortest faithful form: integers print without a fraction.
+std::string field(const std::map<std::string, std::string>& event,
+                  const std::string& key) {
+  const auto it = event.find(key);
+  return it != event.end() ? it->second : std::string();
+}
+
+}  // namespace
+
+std::string num_g6(double v) {
   if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
       std::abs(v) < 1e15) {
     char buf[32];
@@ -27,24 +35,20 @@ std::string num(double v) {
   return buf;
 }
 
-// Span timestamps need more than num()'s 6 significant digits: an hour of
-// uptime is 3.6e6 ms, where %.6g rounds to whole seconds and the profiler's
-// happens-before ordering (end <= start of the next span) would collapse.
-std::string num_time(double v) {
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(static_cast<std::int64_t>(v)));
-    return buf;
-  }
+std::string num_g12(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.12g", v);
   return buf;
 }
 
-double to_double(const std::map<std::string, std::string>& event,
-                 const std::string& key, double fallback = 0.0) {
+std::string num_time(double v) {
+  char buf[64];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, result.ptr);
+}
+
+double event_double(const std::map<std::string, std::string>& event,
+                    const std::string& key, double fallback) {
   const auto it = event.find(key);
   if (it == event.end() || it->second.empty()) return fallback;
   try {
@@ -54,13 +58,16 @@ double to_double(const std::map<std::string, std::string>& event,
   }
 }
 
-std::string field(const std::map<std::string, std::string>& event,
-                  const std::string& key) {
+std::uint64_t event_u64(const std::map<std::string, std::string>& event,
+                        const std::string& key) {
   const auto it = event.find(key);
-  return it != event.end() ? it->second : std::string();
+  if (it == event.end() || it->second.empty()) return 0;
+  try {
+    return std::stoull(it->second);
+  } catch (const std::exception&) {
+    return 0;
+  }
 }
-
-}  // namespace
 
 std::string csv_escape(const std::string& s) {
   if (s.find_first_of(",\"\r\n") == std::string::npos) return s;
@@ -95,22 +102,7 @@ RunReport make_report(const MetricsRegistry& registry) {
   report.counters = registry.counter_values();
   report.gauges = registry.gauge_values();
   report.histograms = registry.histogram_values();
-  for (const SpanRecord& s : registry.spans()) {
-    RunReport::SpanStats& stats = report.spans[s.name];
-    if (stats.count == 0) stats.depth = s.depth;
-    ++stats.count;
-    stats.total_wall_ms += s.wall_ms;
-    if (s.modelled_ms >= 0.0) stats.total_modelled_ms += s.modelled_ms;
-    RunReport::TraceStats& trace = report.traces[s.trace_id];
-    ++trace.spans;
-    trace.total_wall_ms += s.wall_ms;
-    if (s.parent_id == 0) {
-      trace.root_name = s.name;
-      trace.root_wall_ms = s.wall_ms;
-    }
-  }
-  for (auto& [name, stats] : report.spans)
-    stats.mean_wall_ms = stats.total_wall_ms / static_cast<double>(stats.count);
+  report.profile = profile_spans(registry.spans());
   return report;
 }
 
@@ -137,25 +129,26 @@ std::string render_report(const RunReport& report) {
     }
     out << table.to_string();
   }
-  if (!report.spans.empty()) {
+  if (!report.profile.by_name.empty()) {
     util::AsciiTable table(
         {"Span", "Count", "Wall ms", "Mean ms", "Modelled ms"});
-    for (const auto& [name, s] : report.spans) {
+    for (const auto& [name, s] : report.profile.by_name) {
       std::string indented(static_cast<std::size_t>(s.depth) * 2, ' ');
       indented += name;
       table.add_row({indented, std::to_string(s.count),
                      util::format_double(s.total_wall_ms, 3),
-                     util::format_double(s.mean_wall_ms, 3),
+                     util::format_double(
+                         s.total_wall_ms / static_cast<double>(s.count), 3),
                      util::format_double(s.total_modelled_ms, 3)});
     }
     out << table.to_string();
   }
-  // Legacy streams carry no trace ids (one bucket keyed 0) — skip the table.
-  if (!report.traces.empty() &&
-      !(report.traces.size() == 1 && report.traces.begin()->first == 0)) {
+  // Legacy streams carry no trace ids (one trace keyed 0) — skip the table.
+  const std::vector<TraceProfile>& traces = report.profile.traces;
+  if (!traces.empty() && !(traces.size() == 1 && traces[0].trace_id == 0)) {
     util::AsciiTable table({"Trace", "Spans", "Root", "Root ms", "Total ms"});
-    for (const auto& [trace_id, t] : report.traces)
-      table.add_row({std::to_string(trace_id), std::to_string(t.spans),
+    for (const TraceProfile& t : traces)
+      table.add_row({std::to_string(t.trace_id), std::to_string(t.span_count),
                      t.root_name.empty() ? "?" : t.root_name,
                      util::format_double(t.root_wall_ms, 3),
                      util::format_double(t.total_wall_ms, 3)});
@@ -171,14 +164,15 @@ std::string report_csv(const RunReport& report) {
   for (const auto& [name, v] : report.counters)
     out << "counter," << csv_escape(name) << ",," << v << ",,,,,,\n";
   for (const auto& [name, v] : report.gauges)
-    out << "gauge," << csv_escape(name) << ",," << num(v) << ",,,,,,\n";
+    out << "gauge," << csv_escape(name) << ",," << num_g6(v) << ",,,,,,\n";
   for (const auto& [name, h] : report.histograms)
     out << "histogram," << csv_escape(name) << "," << h.count << ",,"
-        << num(h.sum) << "," << num(h.min) << "," << num(h.max) << ","
-        << num(h.p50) << "," << num(h.p90) << "," << num(h.p99) << "\n";
-  for (const auto& [name, s] : report.spans)
+        << num_g6(h.sum) << "," << num_g6(h.min) << "," << num_g6(h.max) << ","
+        << num_g6(h.p50) << "," << num_g6(h.p90) << "," << num_g6(h.p99)
+        << "\n";
+  for (const auto& [name, s] : report.profile.by_name)
     out << "span," << csv_escape(name) << "," << s.count << ","
-        << num(s.total_modelled_ms) << "," << num(s.total_wall_ms)
+        << num_g6(s.total_modelled_ms) << "," << num_g6(s.total_wall_ms)
         << ",,,,,\n";
   return out.str();
 }
@@ -190,20 +184,20 @@ std::string to_jsonl(const MetricsRegistry& registry) {
         << "\",\"value\":" << v << "}\n";
   for (const auto& [name, v] : registry.gauge_values())
     out << "{\"type\":\"gauge\",\"name\":\"" << json_escape(name)
-        << "\",\"value\":" << num(v) << "}\n";
+        << "\",\"value\":" << num_g6(v) << "}\n";
   for (const auto& [name, h] : registry.histogram_values())
     out << "{\"type\":\"histogram\",\"name\":\"" << json_escape(name)
-        << "\",\"count\":" << h.count << ",\"sum\":" << num(h.sum)
-        << ",\"min\":" << num(h.min) << ",\"max\":" << num(h.max)
-        << ",\"p50\":" << num(h.p50) << ",\"p90\":" << num(h.p90)
-        << ",\"p99\":" << num(h.p99) << "}\n";
+        << "\",\"count\":" << h.count << ",\"sum\":" << num_g6(h.sum)
+        << ",\"min\":" << num_g6(h.min) << ",\"max\":" << num_g6(h.max)
+        << ",\"p50\":" << num_g6(h.p50) << ",\"p90\":" << num_g6(h.p90)
+        << ",\"p99\":" << num_g6(h.p99) << "}\n";
   for (const SpanRecord& s : registry.spans())
     out << "{\"type\":\"span\",\"name\":\"" << json_escape(s.name)
         << "\",\"id\":" << s.id << ",\"parent\":" << s.parent_id
         << ",\"trace\":" << s.trace_id << ",\"depth\":" << s.depth
         << ",\"start_ms\":" << num_time(s.start_ms)
         << ",\"wall_ms\":" << num_time(s.wall_ms)
-        << ",\"modelled_ms\":" << num(s.modelled_ms) << "}\n";
+        << ",\"modelled_ms\":" << num_g6(s.modelled_ms) << "}\n";
   return out.str();
 }
 
@@ -281,49 +275,24 @@ RunReport report_from_events(
     if (name.empty()) continue;
     if (type == "counter") {
       report.counters[name] =
-          static_cast<std::int64_t>(to_double(event, "value"));
+          static_cast<std::int64_t>(event_double(event, "value"));
     } else if (type == "gauge") {
-      report.gauges[name] = to_double(event, "value");
+      report.gauges[name] = event_double(event, "value");
     } else if (type == "histogram") {
       HistogramSnapshot h;
-      h.count = static_cast<std::uint64_t>(to_double(event, "count"));
-      h.sum = to_double(event, "sum");
-      h.min = to_double(event, "min");
-      h.max = to_double(event, "max");
-      h.p50 = to_double(event, "p50");
-      h.p90 = to_double(event, "p90");
-      h.p99 = to_double(event, "p99");
+      h.count = static_cast<std::uint64_t>(event_double(event, "count"));
+      h.sum = event_double(event, "sum");
+      h.min = event_double(event, "min");
+      h.max = event_double(event, "max");
+      h.p50 = event_double(event, "p50");
+      h.p90 = event_double(event, "p90");
+      h.p99 = event_double(event, "p99");
       report.histograms[name] = std::move(h);
-    } else if (type == "span") {
-      RunReport::SpanStats& stats = report.spans[name];
-      if (stats.count == 0)
-        stats.depth = static_cast<int>(to_double(event, "depth"));
-      ++stats.count;
-      const double wall = to_double(event, "wall_ms");
-      stats.total_wall_ms += wall;
-      const double modelled = to_double(event, "modelled_ms", -1.0);
-      if (modelled >= 0.0) stats.total_modelled_ms += modelled;
-      // Per-trace rollup: spans from different processes of one run merge
-      // under their shared trace id (the cloud half arrives depth-0 in its
-      // own file but carries a nonzero parent, so roots stay unambiguous).
-      std::uint64_t trace_id = 0;
-      try {
-        trace_id = std::stoull(field(event, "trace"));
-      } catch (const std::exception&) {
-      }
-      RunReport::TraceStats& trace = report.traces[trace_id];
-      ++trace.spans;
-      trace.total_wall_ms += wall;
-      if (to_double(event, "parent") == 0.0) {
-        trace.root_name = name;
-        trace.root_wall_ms = wall;
-      }
     }
   }
-  for (auto& [name, stats] : report.spans)
-    if (stats.count > 0)
-      stats.mean_wall_ms =
-          stats.total_wall_ms / static_cast<double>(stats.count);
+  // Spans from the streams of several processes merge into single causal
+  // trees by their shared trace ids.
+  report.profile = profile_spans(spans_from_events(events));
   return report;
 }
 

@@ -1,48 +1,38 @@
 // Exporters over a MetricsRegistry: a JSONL event stream (one flat JSON
 // object per counter/gauge/histogram/span), a structured RunReport snapshot,
 // and human-readable text / CSV renderings of that report (util::table /
-// util::csv shapes, like the paper benches).
+// util::csv shapes, like the paper benches). Also home to the number
+// formatters and the field decoders every obs writer and reader shares.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "obs/critpath.h"
 #include "obs/metrics.h"
 
 namespace cadmc::obs {
 
-/// End-of-run snapshot of everything a registry collected. Span records are
-/// aggregated by name (individual records remain available via
+/// End-of-run snapshot of everything a registry collected. The spans are
+/// held as their critical-path profile, the one span model of src/obs:
+/// render_report's span table reads profile.by_name and its trace table
+/// profile.traces (individual records remain available via
 /// MetricsRegistry::spans / the JSONL stream).
 struct RunReport {
-  struct SpanStats {
-    std::uint64_t count = 0;
-    int depth = 0;             // depth of the first occurrence
-    double total_wall_ms = 0.0;
-    double mean_wall_ms = 0.0;
-    double total_modelled_ms = 0.0;  // sum over records that set it
-  };
-
-  /// Per-trace rollup: one causal tree (possibly spanning the edge and
-  /// cloud processes of a field run, merged from their JSONL streams).
-  struct TraceStats {
-    std::uint64_t spans = 0;
-    std::string root_name;       // name of the trace's root span, if seen
-    double root_wall_ms = 0.0;
-    double total_wall_ms = 0.0;  // sum over every span in the trace
-  };
-
   std::map<std::string, std::int64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-  std::map<std::string, SpanStats> spans;
-  std::map<std::uint64_t, TraceStats> traces;
+  ProfileReport profile;
 };
 
+/// The registry's metric maps plus profile_spans(registry.spans()).
 RunReport make_report(const MetricsRegistry& registry);
 
-/// Renders the report as ASCII tables (Counters/Gauges, Histograms, Spans).
+/// Renders the report as ASCII tables: Counters/Gauges, Histograms, Spans
+/// (per name: count, wall, mean and modelled ms, indented by the depth of
+/// the first instance) and Traces (spans, root, root ms, total wall ms).
 std::string render_report(const RunReport& report);
 
 /// Renders the report as CSV rows: kind,name,count,value,sum,min,max,p50,p90,p99.
@@ -63,10 +53,32 @@ bool export_jsonl(const MetricsRegistry& registry, const std::string& path);
 std::vector<std::map<std::string, std::string>> parse_jsonl(
     const std::string& text);
 
-/// Rebuilds an aggregate report from parsed JSONL events (the `report` CLI
-/// subcommand). Histogram quantiles are taken from the event fields.
+/// Field decoders over one parse_jsonl event (or one flattened Chrome trace
+/// event): the value under `key` as a number, or `fallback` / 0 when the key
+/// is absent, empty or not a number. Every obs reader decodes through these.
+double event_double(const std::map<std::string, std::string>& event,
+                    const std::string& key, double fallback = 0.0);
+std::uint64_t event_u64(const std::map<std::string, std::string>& event,
+                        const std::string& key);
+
+/// Rebuilds a report from parsed JSONL events (the `report` CLI
+/// subcommand): the metric maps from their events, the profile from
+/// spans_from_events. Histogram quantiles are taken from the event fields.
 RunReport report_from_events(
     const std::vector<std::map<std::string, std::string>>& events);
+
+/// Number formatters shared by every obs writer, one per output precision.
+/// num_g6: 6 significant digits, integral values printed whole
+/// ("1000000", not "1e+06") — metric values and modelled ms.
+std::string num_g6(double v);
+/// num_g12: 12 significant digits — profile outputs and heartbeats.
+std::string num_g12(double v);
+/// num_time: the shortest text that parses back to exactly `v`
+/// (std::to_chars) — span start/wall ms, Chrome ts/dur µs, flight t_ms and
+/// dur_ms. A fixed digit count would not do: an hour of uptime is 3.6e6 ms
+/// (3.6e9 µs), where %.6g rounds to whole seconds and the profiler's
+/// happens-before order (end <= start of the next span) would collapse.
+std::string num_time(double v);
 
 std::string json_escape(const std::string& s);
 

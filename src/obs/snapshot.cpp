@@ -1,7 +1,6 @@
 #include "obs/snapshot.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -9,16 +8,6 @@
 #include "obs/span.h"
 
 namespace cadmc::obs {
-
-namespace {
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
-}  // namespace
 
 SnapshotExporter::SnapshotExporter(Options options)
     : options_(std::move(options)) {
@@ -52,7 +41,7 @@ bool SnapshotExporter::write_snapshot_now() {
 
   std::ostringstream block;
   block << "{\"type\":\"snapshot\",\"seq\":" << seq
-        << ",\"t_ms\":" << num(steady_now_ms())
+        << ",\"t_ms\":" << num_g12(steady_now_ms())
         << ",\"counters\":" << counters.size()
         << ",\"gauges\":" << gauges.size()
         << ",\"histograms\":" << histograms.size() << "}\n";
@@ -61,13 +50,15 @@ bool SnapshotExporter::write_snapshot_now() {
           << "\",\"value\":" << v << ",\"seq\":" << seq << "}\n";
   for (const auto& [name, v] : gauges)
     block << "{\"type\":\"gauge\",\"name\":\"" << json_escape(name)
-          << "\",\"value\":" << num(v) << ",\"seq\":" << seq << "}\n";
+          << "\",\"value\":" << num_g12(v) << ",\"seq\":" << seq << "}\n";
   for (const auto& [name, h] : histograms)
     block << "{\"type\":\"histogram\",\"name\":\"" << json_escape(name)
-          << "\",\"count\":" << h.count << ",\"sum\":" << num(h.sum)
-          << ",\"min\":" << num(h.min) << ",\"max\":" << num(h.max)
-          << ",\"p50\":" << num(h.p50) << ",\"p90\":" << num(h.p90)
-          << ",\"p99\":" << num(h.p99) << ",\"seq\":" << seq << "}\n";
+          << "\",\"count\":" << h.count << ",\"sum\":" << num_g12(h.sum)
+          << ",\"min\":" << num_g12(h.min)
+          << ",\"max\":" << num_g12(h.max)
+          << ",\"p50\":" << num_g12(h.p50)
+          << ",\"p90\":" << num_g12(h.p90)
+          << ",\"p99\":" << num_g12(h.p99) << ",\"seq\":" << seq << "}\n";
 
   std::lock_guard<std::mutex> lock(io_mutex_);
   if (!out_) return false;

@@ -1,6 +1,5 @@
 #include "obs/trace_export.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -13,47 +12,6 @@
 namespace cadmc::obs {
 
 namespace {
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-void append_chrome_event(std::ostringstream& out, bool& first,
-                         const std::string& name, std::uint64_t trace_id,
-                         std::uint64_t id, std::uint64_t parent_id,
-                         double start_ms, double wall_ms, double modelled_ms) {
-  if (!first) out << ",\n";
-  first = false;
-  out << "{\"name\":\"" << json_escape(name)
-      << "\",\"cat\":\"cadmc\",\"ph\":\"X\",\"ts\":" << num(start_ms * 1000.0)
-      << ",\"dur\":" << num(wall_ms * 1000.0) << ",\"pid\":" << trace_id
-      << ",\"tid\":1,\"args\":{\"id\":" << id << ",\"parent\":" << parent_id
-      << ",\"modelled_ms\":" << num(modelled_ms) << "}}";
-}
-
-double event_double(const std::map<std::string, std::string>& event,
-                    const std::string& key, double fallback = 0.0) {
-  const auto it = event.find(key);
-  if (it == event.end() || it->second.empty()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    return fallback;
-  }
-}
-
-std::uint64_t event_u64(const std::map<std::string, std::string>& event,
-                        const std::string& key) {
-  const auto it = event.find(key);
-  if (it == event.end() || it->second.empty()) return 0;
-  try {
-    return std::stoull(it->second);
-  } catch (const std::exception&) {
-    return 0;
-  }
-}
 
 std::atomic<bool> g_flight_on{false};
 std::mutex g_dump_mutex;           // guards the path string and dump writes
@@ -76,9 +34,17 @@ std::string to_chrome_trace(const std::vector<SpanRecord>& spans) {
   std::ostringstream out;
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
-  for (const SpanRecord& s : spans)
-    append_chrome_event(out, first, s.name, s.trace_id, s.id, s.parent_id,
-                        s.start_ms, s.wall_ms, s.modelled_ms);
+  for (const SpanRecord& s : spans) {
+    if (!first) out << ",\n";
+    first = false;
+    out << "{\"name\":\"" << json_escape(s.name)
+        << "\",\"cat\":\"cadmc\",\"ph\":\"X\",\"ts\":"
+        << num_time(s.start_ms * 1000.0)
+        << ",\"dur\":" << num_time(s.wall_ms * 1000.0)
+        << ",\"pid\":" << s.trace_id << ",\"tid\":1,\"args\":{\"id\":" << s.id
+        << ",\"parent\":" << s.parent_id
+        << ",\"modelled_ms\":" << num_g6(s.modelled_ms) << "}}";
+  }
   out << "\n]}\n";
   return out.str();
 }
@@ -93,27 +59,6 @@ bool export_chrome_trace(const MetricsRegistry& registry,
   if (!out) return false;
   out << to_chrome_trace(registry);
   return static_cast<bool>(out);
-}
-
-std::string chrome_trace_from_events(
-    const std::vector<std::map<std::string, std::string>>& events) {
-  std::ostringstream out;
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  for (const auto& event : events) {
-    const auto type = event.find("type");
-    if (type == event.end() || type->second != "span") continue;
-    const auto name = event.find("name");
-    append_chrome_event(out, first,
-                        name != event.end() ? name->second : std::string("?"),
-                        event_u64(event, "trace"), event_u64(event, "id"),
-                        event_u64(event, "parent"),
-                        event_double(event, "start_ms"),
-                        event_double(event, "wall_ms"),
-                        event_double(event, "modelled_ms", -1.0));
-  }
-  out << "\n]}\n";
-  return out.str();
 }
 
 void set_flight_recording(bool on) {
@@ -205,8 +150,8 @@ bool FlightRecorder::dump_jsonl(const std::string& path,
     out << "{\"type\":\"flight\",\"kind\":\"" << kind_name(e.kind)
         << "\",\"name\":\"" << json_escape(e.name) << "\",\"trace\":"
         << e.trace_id << ",\"id\":" << e.span_id << ",\"parent\":"
-        << e.parent_id << ",\"t_ms\":" << num(e.t_ms) << ",\"dur_ms\":"
-        << num(e.dur_ms) << "}\n";
+        << e.parent_id << ",\"t_ms\":" << num_time(e.t_ms) << ",\"dur_ms\":"
+        << num_time(e.dur_ms) << "}\n";
   }
   return static_cast<bool>(out);
 }

@@ -31,20 +31,16 @@ namespace cadmc::obs {
 // Chrome trace-event export.
 
 /// Renders spans as a Chrome trace-event JSON document ("traceEvents" array
-/// of complete "X" slices; ts/dur in microseconds). pid = trace id, so each
-/// causal tree gets its own track group in Perfetto.
+/// of complete "X" slices; ts/dur in microseconds, written exactly by
+/// num_time). pid = trace id, so each causal tree gets its own track
+/// group in Perfetto. The merge path for the separate edge/cloud JSONL
+/// streams of a field run is to_chrome_trace(spans_from_events(events)).
 std::string to_chrome_trace(const std::vector<SpanRecord>& spans);
 std::string to_chrome_trace(const MetricsRegistry& registry);
 
 /// Writes to_chrome_trace() to `path`; returns false on I/O failure.
 bool export_chrome_trace(const MetricsRegistry& registry,
                          const std::string& path);
-
-/// Builds a Chrome trace from span events parsed out of one or more JSONL
-/// metric streams (obs::parse_jsonl shape) — the merge path for the separate
-/// edge/cloud processes of a field run, keyed by their shared trace ids.
-std::string chrome_trace_from_events(
-    const std::vector<std::map<std::string, std::string>>& events);
 
 // ---------------------------------------------------------------------------
 // Flight recorder.

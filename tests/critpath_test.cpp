@@ -228,47 +228,56 @@ TEST(CritPath, InputOrderDoesNotChangeReport) {
   EXPECT_EQ(obs::profile_jsonl(obs::profile_spans(shuffled)), baseline);
 }
 
+// frame [0,12] -> prep [0,2], left [2,8] || right [2,6], post [8,12]:
+// critical path 12, work 16. The round trips also run it shifted to an hour
+// of uptime (3.6e6 ms), where 6-significant-digit timestamps would round
+// to whole seconds and merge the serial siblings into parallel ones.
+std::vector<SpanRecord> fan_out_tree(double shift) {
+  return {span_of(1, 0, "frame", shift + 0.0, 12.0),
+          span_of(2, 1, "prep", shift + 0.0, 2.0),
+          span_of(3, 1, "left", shift + 2.0, 6.0),
+          span_of(4, 1, "right", shift + 2.0, 4.0),
+          span_of(5, 1, "post", shift + 8.0, 4.0)};
+}
+
 TEST(CritPath, JsonlRoundTripPreservesProfile) {
-  obs::MetricsRegistry registry;
-  registry.record_span(span_of(1, 0, "frame", 0.0, 12.0));
-  registry.record_span(span_of(2, 1, "prep", 0.0, 2.0));
-  registry.record_span(span_of(3, 1, "left", 2.0, 6.0));
-  registry.record_span(span_of(4, 1, "right", 2.0, 4.0));
-  registry.record_span(span_of(5, 1, "post", 8.0, 4.0));
+  for (const double shift : {0.0, 3.6e6}) {
+    SCOPED_TRACE(shift);
+    obs::MetricsRegistry registry;
+    for (const SpanRecord& s : fan_out_tree(shift)) registry.record_span(s);
 
-  const std::string jsonl = obs::to_jsonl(registry);
-  EXPECT_FALSE(obs::looks_like_chrome_trace(jsonl));
-  const std::vector<SpanRecord> decoded =
-      obs::spans_from_events(obs::parse_jsonl(jsonl));
-  ASSERT_EQ(decoded.size(), 5u);
+    const std::string jsonl = obs::to_jsonl(registry);
+    EXPECT_FALSE(obs::looks_like_chrome_trace(jsonl));
+    const std::vector<SpanRecord> decoded =
+        obs::spans_from_events(obs::parse_jsonl(jsonl));
+    ASSERT_EQ(decoded.size(), 5u);
 
-  const ProfileReport direct = obs::profile_registry(registry);
-  const ProfileReport via_file = obs::profile_spans(decoded);
-  EXPECT_EQ(obs::profile_jsonl(via_file), obs::profile_jsonl(direct));
-  EXPECT_DOUBLE_EQ(via_file.traces[0].critical_path_ms, 12.0);
-  EXPECT_EQ(via_file.bottleneck, "left");
+    const ProfileReport direct = obs::profile_registry(registry);
+    const ProfileReport via_file = obs::profile_spans(decoded);
+    EXPECT_EQ(obs::profile_jsonl(via_file), obs::profile_jsonl(direct));
+    EXPECT_DOUBLE_EQ(via_file.traces[0].critical_path_ms, 12.0);
+    EXPECT_EQ(via_file.bottleneck, "left");
+  }
 }
 
 TEST(CritPath, ChromeTraceRoundTripPreservesProfile) {
-  std::vector<SpanRecord> spans;
-  spans.push_back(span_of(1, 0, "frame", 0.0, 12.0));
-  spans.push_back(span_of(2, 1, "prep", 0.0, 2.0));
-  spans.push_back(span_of(3, 1, "left", 2.0, 6.0));
-  spans.push_back(span_of(4, 1, "right", 2.0, 4.0));
-  spans.push_back(span_of(5, 1, "post", 8.0, 4.0));
+  for (const double shift : {0.0, 3.6e6}) {
+    SCOPED_TRACE(shift);
+    const std::vector<SpanRecord> spans = fan_out_tree(shift);
+    const std::string chrome = obs::to_chrome_trace(spans);
+    EXPECT_TRUE(obs::looks_like_chrome_trace(chrome));
+    const std::vector<SpanRecord> decoded =
+        obs::spans_from_chrome_trace(chrome);
+    ASSERT_EQ(decoded.size(), 5u);
 
-  const std::string chrome = obs::to_chrome_trace(spans);
-  EXPECT_TRUE(obs::looks_like_chrome_trace(chrome));
-  const std::vector<SpanRecord> decoded = obs::spans_from_chrome_trace(chrome);
-  ASSERT_EQ(decoded.size(), 5u);
-
-  const ProfileReport report = obs::profile_spans(decoded);
-  ASSERT_EQ(report.traces.size(), 1u);
-  EXPECT_DOUBLE_EQ(report.traces[0].critical_path_ms, 12.0);
-  EXPECT_DOUBLE_EQ(report.traces[0].total_work_ms, 16.0);
-  EXPECT_EQ(report.bottleneck, "left");
-  EXPECT_EQ(obs::profile_jsonl(report),
-            obs::profile_jsonl(obs::profile_spans(spans)));
+    const ProfileReport report = obs::profile_spans(decoded);
+    ASSERT_EQ(report.traces.size(), 1u);
+    EXPECT_DOUBLE_EQ(report.traces[0].critical_path_ms, 12.0);
+    EXPECT_DOUBLE_EQ(report.traces[0].total_work_ms, 16.0);
+    EXPECT_EQ(report.bottleneck, "left");
+    EXPECT_EQ(obs::profile_jsonl(report),
+              obs::profile_jsonl(obs::profile_spans(spans)));
+  }
 }
 
 TEST(CritPath, ProfileCsvEscapesHostileNames) {

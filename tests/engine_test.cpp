@@ -339,16 +339,17 @@ TEST(Observability, DecisionEngineInferPopulatesSpansAndCounters) {
   obs::set_enabled(false);
 
   const obs::RunReport report = obs::make_report(local);
+  const auto& spans = report.profile.by_name;
   for (const char* name :
        {"train_offline", "realize_tree", "infer", "compose", "estimate",
         "edge_exec", "transfer", "cloud_exec"})
-    EXPECT_EQ(report.spans.count(name), 1u) << "missing span: " << name;
+    EXPECT_EQ(spans.count(name), 1u) << "missing span: " << name;
   // Paths are realized once, offline; inference only runs them.
-  EXPECT_EQ(report.spans.count("realize"), 0u);
-  EXPECT_EQ(report.spans.at("train_offline").depth, 0);
-  EXPECT_GT(report.spans.at("realize_tree").depth, 0);
-  EXPECT_EQ(report.spans.at("infer").depth, 0);
-  EXPECT_GT(report.spans.at("compose").depth, 0);
+  EXPECT_EQ(spans.count("realize"), 0u);
+  EXPECT_EQ(spans.at("train_offline").depth, 0);
+  EXPECT_GT(spans.at("realize_tree").depth, 0);
+  EXPECT_EQ(spans.at("infer").depth, 0);
+  EXPECT_GT(spans.at("compose").depth, 0);
   EXPECT_EQ(report.counters.at("cadmc.runtime.inferences"), 1);
   EXPECT_EQ(report.histograms.at("cadmc.runtime.latency_ms").count, 1u);
 

@@ -44,8 +44,9 @@ TEST(ObsDisabled, ExportersStillWorkOnSavedStreams) {
       "\"modelled_ms\":-1}\n");
   ASSERT_EQ(events.size(), 1u);
   const RunReport report = report_from_events(events);
-  ASSERT_EQ(report.traces.count(9), 1u);
-  EXPECT_EQ(report.traces.at(9).root_name, "frame");
+  ASSERT_EQ(report.profile.traces.size(), 1u);
+  EXPECT_EQ(report.profile.traces[0].trace_id, 9u);
+  EXPECT_EQ(report.profile.traces[0].root_name, "frame");
 }
 
 }  // namespace

@@ -256,11 +256,33 @@ TEST(Export, JsonlRoundTrip) {
   reg.gauge("cadmc.test.gauge").set(2.5);
   reg.histogram("cadmc.test.hist").observe(10.0);
   reg.histogram("cadmc.test.hist").observe(20.0);
-  { ScopedSpan span("stage \"x\"", &reg); }
+  // Nested spans in two traces, in close order (children first), with
+  // binary-exact times so every rendered digit must survive the stream.
+  const auto span = [&](const char* name, std::uint64_t id,
+                        std::uint64_t parent, std::uint64_t trace, int depth,
+                        double start_ms, double wall_ms, double modelled_ms) {
+    SpanRecord s;
+    s.name = name;
+    s.id = id;
+    s.parent_id = parent;
+    s.trace_id = trace;
+    s.depth = depth;
+    s.start_ms = start_ms;
+    s.wall_ms = wall_ms;
+    s.modelled_ms = modelled_ms;
+    reg.record_span(std::move(s));
+  };
+  span("edge", 2, 1, 7, 1, 10.5, 3.0, 2.25);
+  span("kernel", 4, 3, 7, 2, 14.5, 2.0, -1.0);
+  span("stage \"x\"", 3, 1, 7, 1, 14.0, 4.0, -1.0);
+  span("frame", 1, 0, 7, 0, 10.0, 8.0, 6.5);
+  span("edge", 6, 5, 9, 1, 20.5, 2.5, 1.25);
+  span("frame", 5, 0, 9, 0, 20.0, 6.0, -1.0);
 
   const std::string jsonl = to_jsonl(reg);
   const auto events = parse_jsonl(jsonl);
-  ASSERT_EQ(events.size(), 5u);  // counter + gauge + hist + span hist + span
+  // counter + gauge + hist + 4 span hists + 6 spans
+  ASSERT_EQ(events.size(), 13u);
 
   const RunReport report = report_from_events(events);
   EXPECT_EQ(report.counters.at("cadmc.test.count"), 7);
@@ -270,13 +292,22 @@ TEST(Export, JsonlRoundTrip) {
   EXPECT_DOUBLE_EQ(h.sum, 30.0);
   EXPECT_DOUBLE_EQ(h.p50, 15.0);
   // The escaped span name survives the round trip.
-  ASSERT_TRUE(report.spans.count("stage \"x\""));
-  EXPECT_EQ(report.spans.at("stage \"x\"").count, 1u);
+  ASSERT_TRUE(report.profile.by_name.count("stage \"x\""));
+  EXPECT_EQ(report.profile.by_name.at("stage \"x\"").count, 1u);
+  ASSERT_EQ(report.profile.traces.size(), 2u);
+  EXPECT_EQ(report.profile.traces[0].root_name, "frame");
+  EXPECT_DOUBLE_EQ(report.profile.traces[0].root_wall_ms, 8.0);
+  EXPECT_DOUBLE_EQ(report.profile.traces[0].total_wall_ms, 17.0);
 
-  // And the regenerated report matches the direct snapshot.
+  // And the regenerated report renders exactly like the direct snapshot.
   const RunReport direct = make_report(reg);
   EXPECT_EQ(direct.counters, report.counters);
-  EXPECT_EQ(direct.spans.at("stage \"x\"").count, 1u);
+  EXPECT_EQ(render_report(direct), render_report(report));
+  EXPECT_EQ(report_csv(direct), report_csv(report));
+  const std::string text = render_report(report);
+  EXPECT_NE(text.find("|     kernel"), std::string::npos);  // depth 2
+  EXPECT_NE(text.find("| 9     | 2     | frame | 6.000   | 8.500    |"),
+            std::string::npos);
 }
 
 TEST(Export, ExportJsonlWritesFile) {

@@ -1,7 +1,8 @@
 // Partition tests: Eqn. (3) latency decomposition, exhaustive best-cut,
 // Dinic max-flow, and the Dynamic DNN Surgery min-cut baseline — including
 // the property that on chain DNNs the min-cut placement equals the
-// exhaustive optimum across bandwidths (parameterized sweep).
+// exhaustive optimum across bandwidths (parameterized sweep), and its
+// behaviour on a true branching DAG (the general case of Hu et al.).
 #include <gtest/gtest.h>
 
 #include "latency/device_profile.h"
@@ -208,6 +209,58 @@ TEST(Surgery, OffloadsNoLaterAsBandwidthGrows) {
     EXPECT_LE(cut, prev) << "bw " << bw;
     prev = cut;
   }
+}
+
+/// input -> a -> {b, c} -> d: a hand-built diamond, the smallest DAG whose
+/// min cut is not a chain prefix question.
+DnnDag diamond_dag() {
+  DnnDag dag;
+  dag.nodes = {{"input", 0.0, 0.0, 12288, {1}},
+               {"a", 8.0, 0.4, 16384, {2, 3}},
+               {"b", 6.0, 0.3, 8192, {4}},
+               {"c", 3.0, 0.2, 4096, {4}},
+               {"d", 2.0, 0.1, 1024, {}}};
+  return dag;
+}
+
+TEST(Surgery, DiamondMinCutNeverWorseThanItsOwnExtremes) {
+  // The min cut must never exceed the trivial placements (all-edge; ship
+  // the input, then all-cloud) priced on the same DAG, and must never let a
+  // cloud node feed an edge node.
+  const DnnDag dag = diamond_dag();
+  latency::TransferModel transfer;
+  transfer.rtt_ms = 12.0;
+  for (double bw : {25.0, 125.0, 600.0, 4000.0}) {
+    const SurgeryResult result = surgery_min_cut(dag, transfer, bw);
+    double all_edge = 0.0, all_cloud = 0.0;
+    for (const auto& node : dag.nodes) {
+      all_edge += node.edge_cost_ms;
+      all_cloud += node.cloud_cost_ms;
+    }
+    all_cloud += transfer.latency_ms(dag.nodes[0].output_bytes, bw);
+    EXPECT_LE(result.total_latency_ms, std::min(all_edge, all_cloud) + 1e-6)
+        << "bw " << bw;
+    for (std::size_t i = 0; i < dag.nodes.size(); ++i)
+      for (int succ : dag.nodes[i].successors)
+        EXPECT_FALSE(!result.on_edge[i] &&
+                     result.on_edge[static_cast<std::size_t>(succ)])
+            << "bw " << bw << ": " << dag.nodes[i].name;
+  }
+}
+
+TEST(Surgery, DiamondExtremeBandwidthsPlaceEverythingOneSide) {
+  const DnnDag dag = diamond_dag();
+  // Near-zero RTT so transfer cost vanishes at infinite bandwidth.
+  latency::TransferModel transfer;
+  transfer.rtt_ms = 1e-6;
+  // Dead network: everything on the edge.
+  const SurgeryResult on_edge = surgery_min_cut(dag, transfer, 1e-4);
+  for (std::size_t i = 0; i < on_edge.on_edge.size(); ++i)
+    EXPECT_TRUE(on_edge.on_edge[i]) << dag.nodes[i].name;
+  // Infinite network, no RTT: only the input pseudo-node stays.
+  const SurgeryResult offload = surgery_min_cut(dag, transfer, 1e12);
+  for (std::size_t i = 1; i < offload.on_edge.size(); ++i)
+    EXPECT_FALSE(offload.on_edge[i]) << dag.nodes[i].name;
 }
 
 }  // namespace

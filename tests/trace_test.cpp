@@ -238,15 +238,16 @@ TEST(DistributedTrace, JsonlMergeRebuildsOneTrace) {
   const std::string jsonl = obs::to_jsonl(obs::MetricsRegistry::global());
   const auto events = obs::parse_jsonl(jsonl);
   const obs::RunReport report = obs::report_from_events(events);
-  ASSERT_EQ(report.traces.size(), 1u);
-  const auto& [trace_id, stats] = *report.traces.begin();
-  EXPECT_NE(trace_id, 0u);
-  EXPECT_GE(stats.spans, 4u);  // edge_request, transport_call/serve, cloud_work
-  EXPECT_EQ(stats.root_name, "edge_request");
+  ASSERT_EQ(report.profile.traces.size(), 1u);
+  const obs::TraceProfile& trace = report.profile.traces[0];
+  EXPECT_NE(trace.trace_id, 0u);
+  // edge_request, transport_call/serve, cloud_work
+  EXPECT_GE(trace.span_count, 4u);
+  EXPECT_EQ(trace.root_name, "edge_request");
 
-  const std::string doc = obs::chrome_trace_from_events(events);
+  const std::string doc = obs::to_chrome_trace(obs::spans_from_events(events));
   EXPECT_NE(doc.find("\"name\":\"transport_serve\""), std::string::npos);
-  EXPECT_NE(doc.find("\"pid\":" + std::to_string(trace_id)),
+  EXPECT_NE(doc.find("\"pid\":" + std::to_string(trace.trace_id)),
             std::string::npos);
 }
 
@@ -293,6 +294,24 @@ TEST(FlightRecorderTest, DumpJsonlRoundTrips) {
   EXPECT_EQ(events[1].at("name"), "transfer");
   EXPECT_EQ(events[2].at("kind"), "breaker");
   EXPECT_EQ(events[2].at("name"), "breaker_open");
+  std::filesystem::remove(path);
+}
+
+TEST(FlightRecorderTest, DumpKeepsTimesExactAfterAnHourOfUptime) {
+  // An hour of uptime is 3.6e6 ms: a 6-significant-digit dump would print
+  // 3.6e+06 and lose every sub-second detail of the postmortem.
+  FlightRecorder recorder(4);
+  recorder.record(FlightEventKind::kSpan, "transfer", 7, 2, 1, 3600000.25,
+                  0.125);
+  const std::string path = temp_path("cadmc_trace_test_dump_time.jsonl");
+  ASSERT_TRUE(recorder.dump_jsonl(path, "unit_test"));
+  std::string text;
+  ASSERT_TRUE(util::read_file(path, text));
+  const auto events = obs::parse_jsonl(text);
+  ASSERT_EQ(events.size(), 2u);  // header + 1 event
+  EXPECT_EQ(events[1].at("t_ms"), "3600000.25");
+  EXPECT_EQ(obs::event_double(events[1], "t_ms"), 3600000.25);
+  EXPECT_EQ(obs::event_double(events[1], "dur_ms"), 0.125);
   std::filesystem::remove(path);
 }
 

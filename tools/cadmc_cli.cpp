@@ -439,7 +439,8 @@ int cmd_report(const Flags& flags) {
               obs::render_report(obs::report_from_events(events)).c_str());
   const std::string trace_out = flag_or(flags, "trace-out", "");
   if (!trace_out.empty()) {
-    const std::string doc = obs::chrome_trace_from_events(events);
+    const std::string doc =
+        obs::to_chrome_trace(obs::spans_from_events(events));
     if (!util::write_file(trace_out, doc)) {
       std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
       return 1;
