@@ -11,7 +11,8 @@ namespace cadmc::runtime {
 DecisionEngine::DecisionEngine(nn::Model base, EngineConfig config)
     : base_(std::move(base)),
       config_(std::move(config)),
-      breaker_(config_.breaker, config_.metrics) {
+      rule_(config_.breaker, /*deadline_ms=*/0.0, /*edge_fallback=*/true,
+            config_.metrics) {
   if (config_.num_forks < 1)
     throw std::invalid_argument("DecisionEngine: num_forks < 1");
   trace_ = net::generate_trace(config_.scene.trace, config_.trace_duration_ms,
@@ -104,24 +105,20 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
   outcome.strategy = composition.strategy;
   outcome.forks = composition.forks;
 
-  // Graceful degradation: if the composed path offloads but the link is
-  // effectively dead (estimate pinned at the floor, or a blackout at the
-  // moment of transfer) or the cloud breaker is open, keep the whole frame
-  // on the edge instead — the cut moves to the end: the composed path's
-  // prefix runs as realized and the uncompressed base suffix follows it.
+  // Graceful degradation (OffloadRule): if the link is effectively dead
+  // (estimate pinned at the floor, or a blackout at the frame start) or the
+  // breaker is open, the cut moves to the end: the composed path's prefix
+  // runs as realized and the uncompressed base suffix follows it on the
+  // edge. The leg itself runs locally; a real transport's owner books it.
   if (outcome.strategy.cut < base_.size()) {
     const bool link_dead =
         (!composition.observed_bandwidths.empty() &&
          composition.observed_bandwidths.back() <= config_.dead_link_bandwidth) ||
         trace_.at(t_ms) <= 0.0;
-    if (link_dead || !breaker_.allow_request()) {
+    rule_.offload(link_dead, {}, [&] {
       outcome.strategy.cut = base_.size();
       outcome.degraded = true;
-      if (obs::enabled()) {
-        reg.counter("cadmc.runtime.fault.edge_fallbacks").add(1);
-        if (link_dead) reg.counter("cadmc.runtime.fault.dead_link_detected").add(1);
-      }
-    }
+    });
   }
 
   const tree::RealizedTree::Path& path = realized_.path(outcome.forks);
@@ -162,10 +159,6 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
     reg.gauge("cadmc.runtime.last_bandwidth").set(trace_.at(t_ms));
   }
   return outcome;
-}
-
-InferenceRunner DecisionEngine::make_runner(RunnerConfig runner_config) const {
-  return InferenceRunner(*evaluator_, trace_, boundaries_, runner_config);
 }
 
 }  // namespace cadmc::runtime

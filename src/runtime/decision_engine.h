@@ -87,15 +87,11 @@ class DecisionEngine {
   /// (e.g. a field loop calling breaker().record_failure() on deadline
   /// misses); once open, infer() composes the all-edge branch until a probe
   /// is due.
-  CircuitBreaker& breaker() { return breaker_; }
+  CircuitBreaker& breaker() { return rule_.breaker(); }
 
   /// Metrics registry this engine records into (EngineConfig::metrics or the
   /// global default). Collection only happens while obs::enabled().
   obs::MetricsRegistry& metrics() const;
-
-  /// An InferenceRunner over this engine's context (for emulation/field
-  /// sweeps with this configuration).
-  InferenceRunner make_runner(RunnerConfig runner_config) const;
 
  private:
   nn::Model base_;
@@ -106,7 +102,7 @@ class DecisionEngine {
   std::unique_ptr<engine::StrategyEvaluator> evaluator_;
   std::optional<tree::TreeSearchResult> search_result_;
   tree::RealizedTree realized_;  // shares base_'s layers
-  CircuitBreaker breaker_;
+  OffloadRule rule_;
 };
 
 }  // namespace cadmc::runtime

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/span.h"
-#include "obs/trace_export.h"
 #include "runtime/shaper.h"
 #include "util/stats.h"
 
@@ -60,80 +59,55 @@ double InferenceRunner::transfer_ms(Timeline& tl, std::int64_t bytes) const {
   return shaped_transfer_ms(trace_, tl.t_ms, bytes, tm.rtt_ms, tm.size_coeff);
 }
 
-InferenceRunner::FaultState InferenceRunner::make_fault_state() const {
-  return FaultState{CircuitBreaker(config_.breaker), 0, 0, 0};
+double InferenceRunner::Timeline::measure() {
+  obs::ScopedSpan measure_span("measure_bandwidth");
+  return estimator.estimate_at(t_ms);
 }
 
 void InferenceRunner::offload_tail(Timeline& tl, const Strategy& strategy,
-                                   FaultState& fs) const {
+                                   OffloadRule& rule) const {
   const nn::Model& base = evaluator_->base();
   if (strategy.cut >= base.size()) return;
-  const std::int64_t bytes = base.boundary_bytes()[strategy.cut];
-  const double deadline = config_.cloud_deadline_ms;
-  bool served_by_cloud = false;
-  if (deadline <= 0.0 || fs.breaker.allow_request()) {
-    obs::ScopedSpan transfer_span("transfer");
-    const double transfer = transfer_ms(tl, bytes);
-    transfer_span.set_modelled_ms(transfer);
-    obs::ScopedSpan cloud_span("cloud_compute");
-    const double cloud = evaluator_->cloud_suffix_latency_ms(strategy.cut);
-    cloud_span.set_modelled_ms(cloud);
-    const double cloud_total = transfer + cloud;
-    if (deadline > 0.0 &&
-        (!std::isfinite(cloud_total) || cloud_total > deadline)) {
-      // The miss is only detected when the deadline fires; that wait is the
-      // price of the failed attempt.
-      fs.breaker.record_failure();
-      ++fs.deadline_misses;
-      obs::flight_fault(obs::FlightEventKind::kFault, "deadline_miss");
-      tl.t_ms += deadline;
-    } else {
-      if (deadline > 0.0) fs.breaker.record_success();
-      tl.t_ms += cloud_total;
-      served_by_cloud = true;
-    }
-  }
-  if (served_by_cloud) return;
-  if (config_.edge_fallback) {
-    // Run the uncompressed suffix locally (the tree's all-edge fork): the
-    // same logits arrive, later and at edge-device prices.
-    ++fs.edge_fallbacks;
-    obs::ScopedSpan fallback_span("edge_fallback");
-    const double ms = block_compute_ms(tl, strategy, strategy.cut, base.size());
-    fallback_span.set_modelled_ms(ms);
-    tl.t_ms += ms;
-  } else {
-    ++fs.failures;
-  }
+  double fallback_ms = 0.0;
+  const double wait_ms = rule.offload(
+      /*link_dead=*/false,
+      [&] {
+        obs::ScopedSpan transfer_span("transfer");
+        const double transfer =
+            transfer_ms(tl, base.boundary_bytes()[strategy.cut]);
+        transfer_span.set_modelled_ms(transfer);
+        obs::ScopedSpan cloud_span("cloud_compute");
+        const double cloud = evaluator_->cloud_suffix_latency_ms(strategy.cut);
+        cloud_span.set_modelled_ms(cloud);
+        return transfer + cloud;
+      },
+      [&] {
+        // The same logits arrive, later and at edge-device prices.
+        obs::ScopedSpan fallback_span("edge_fallback");
+        fallback_ms = block_compute_ms(tl, strategy, strategy.cut, base.size());
+        fallback_span.set_modelled_ms(fallback_ms);
+      });
+  tl.t_ms += wait_ms;
+  tl.t_ms += fallback_ms;
 }
 
-double InferenceRunner::execute(Timeline& tl, const Strategy& strategy,
-                                FaultState& fs) const {
-  const nn::Model& base = evaluator_->base();
-  std::vector<std::size_t> edges{0};
-  for (std::size_t b : boundaries_) edges.push_back(b);
-  edges.push_back(base.size());
-
-  const double t_start = tl.t_ms;
-  {
-    obs::ScopedSpan edge_span("edge_compute");
-    for (std::size_t j = 0; j + 1 < edges.size(); ++j) {
-      const std::size_t begin = edges[j], end = edges[j + 1];
-      if (begin >= strategy.cut) break;
-      const double ms =
-          block_compute_ms(tl, strategy, begin, std::min(end, strategy.cut));
-      edge_span.add_modelled_ms(ms);
-      tl.t_ms += ms;
-      if (strategy.cut <= end) break;
-    }
+void InferenceRunner::edge_blocks(Timeline& tl, const Strategy& strategy) const {
+  obs::ScopedSpan edge_span("edge_compute");
+  std::size_t begin = 0;
+  for (std::size_t j = 0; begin < strategy.cut; ++j) {
+    const std::size_t end = std::min(
+        j < boundaries_.size() ? boundaries_[j] : evaluator_->base().size(),
+        strategy.cut);
+    const double ms = block_compute_ms(tl, strategy, begin, end);
+    edge_span.add_modelled_ms(ms);
+    tl.t_ms += ms;
+    begin = end;
   }
-  offload_tail(tl, strategy, fs);
-  return tl.t_ms - t_start;
 }
 
 RunStats InferenceRunner::summarize(const std::vector<Strategy>& strategies,
                                     const std::vector<double>& latencies,
-                                    const FaultState& fs) const {
+                                    const OffloadRule& rule) const {
   RunStats stats;
   stats.inferences = static_cast<int>(latencies.size());
   for (std::size_t i = 0; i < latencies.size(); ++i) {
@@ -148,125 +122,84 @@ RunStats InferenceRunner::summarize(const std::vector<Strategy>& strategies,
     stats.mean_reward /= stats.inferences;
     stats.p99_latency_ms = util::quantile(latencies, 0.99);
   }
-  stats.deadline_misses = fs.deadline_misses;
-  stats.edge_fallbacks = fs.edge_fallbacks;
-  stats.failures = fs.failures;
+  stats.deadline_misses = rule.deadline_misses();
+  stats.edge_fallbacks = rule.edge_fallbacks();
+  stats.failures = rule.failures();
   stats.availability =
       stats.inferences > 0
-          ? 1.0 - static_cast<double>(fs.failures) / stats.inferences
+          ? 1.0 - static_cast<double>(rule.failures()) / stats.inferences
           : 1.0;
   return stats;
 }
 
-RunStats InferenceRunner::run_surgery() const {
-  const nn::Model& base = evaluator_->base();
+RunStats InferenceRunner::run_frames(const char* policy, unsigned rng_salt,
+                                     const EdgeLeg& edge_leg) const {
   std::vector<Strategy> strategies;
   std::vector<double> latencies;
-  FaultState fs = make_fault_state();
+  OffloadRule rule(config_.breaker, config_.cloud_deadline_ms,
+                   config_.edge_fallback);
+  const double staleness =
+      config_.estimator_staleness_ms +
+      (config_.mode == TimingMode::kField ? config_.field_staleness_extra_ms : 0.0);
   // Policy-level root span: every frame of the run nests under it, so one
   // emulator run profiles as a single trace (`cadmc profile`).
-  obs::ScopedSpan policy_span("run_surgery");
+  obs::ScopedSpan policy_span(policy);
   for (int i = 0; i < config_.inferences; ++i) {
-    const double staleness =
-        config_.estimator_staleness_ms +
-        (config_.mode == TimingMode::kField ? config_.field_staleness_extra_ms : 0.0);
     Timeline tl{start_time(i),
                 net::BandwidthEstimator(trace_, staleness, config_.estimator_alpha),
-                util::Rng(config_.seed ^ (0x5u + static_cast<unsigned>(i)))};
+                util::Rng(config_.seed ^ (rng_salt + static_cast<unsigned>(i)))};
+    const double t_start = tl.t_ms;
     obs::ScopedSpan frame_span("frame");
-    double bw_est;
-    {
-      obs::ScopedSpan measure_span("measure_bandwidth");
-      bw_est = tl.estimator.estimate_at(tl.t_ms);
-    }
+    Strategy s = edge_leg(tl);
+    offload_tail(tl, s, rule);
+    latencies.push_back(tl.t_ms - t_start);
+    frame_span.set_modelled_ms(latencies.back());
+    strategies.push_back(std::move(s));
+  }
+  return summarize(strategies, latencies, rule);
+}
+
+RunStats InferenceRunner::run_surgery() const {
+  const nn::Model& base = evaluator_->base();
+  return run_frames("run_surgery", 0x5u, [&](Timeline& tl) {
+    const double bw_est = tl.measure();
     Strategy s;
     s.plan.assign(base.size(), compress::TechniqueId::kNone);
     s.cut = partition::surgery_cut_for_chain(base, evaluator_->partition_eval(),
                                              bw_est);
-    latencies.push_back(execute(tl, s, fs));
-    frame_span.set_modelled_ms(latencies.back());
-    strategies.push_back(std::move(s));
-  }
-  return summarize(strategies, latencies, fs);
+    edge_blocks(tl, s);
+    return s;
+  });
 }
 
 RunStats InferenceRunner::run_branch(const Strategy& strategy) const {
-  std::vector<Strategy> strategies;
-  std::vector<double> latencies;
-  FaultState fs = make_fault_state();
-  obs::ScopedSpan policy_span("run_branch");
-  for (int i = 0; i < config_.inferences; ++i) {
-    Timeline tl{start_time(i),
-                net::BandwidthEstimator(trace_, config_.estimator_staleness_ms,
-                                        config_.estimator_alpha),
-                util::Rng(config_.seed ^ (0xB00u + static_cast<unsigned>(i)))};
-    obs::ScopedSpan frame_span("frame");
-    latencies.push_back(execute(tl, strategy, fs));
-    frame_span.set_modelled_ms(latencies.back());
-    strategies.push_back(strategy);
-  }
-  return summarize(strategies, latencies, fs);
+  return run_frames("run_branch", 0xB00u, [&](Timeline& tl) {
+    edge_blocks(tl, strategy);
+    return strategy;
+  });
 }
 
 RunStats InferenceRunner::run_tree(const tree::ModelTree& tree) const {
-  std::vector<Strategy> strategies;
-  std::vector<double> latencies;
-  FaultState fs = make_fault_state();
-  obs::ScopedSpan policy_span("run_tree");
-  for (int i = 0; i < config_.inferences; ++i) {
-    const double staleness =
-        config_.estimator_staleness_ms +
-        (config_.mode == TimingMode::kField ? config_.field_staleness_extra_ms : 0.0);
-    Timeline tl{start_time(i),
-                net::BandwidthEstimator(trace_, staleness, config_.estimator_alpha),
-                util::Rng(config_.seed ^ (0x7EEu + static_cast<unsigned>(i)))};
-    // Alg. 2: walk the tree, measuring (an estimate of) the bandwidth before
-    // each block at the *current* simulated time, paying for each block as
-    // it executes.
-    const nn::Model& base = evaluator_->base();
-    Strategy s;
-    s.plan.assign(base.size(), compress::TechniqueId::kNone);
-    s.cut = base.size();
-    const tree::TreeNode* node = &tree.root();
-    const double t_start = tl.t_ms;
-    obs::ScopedSpan frame_span("frame");
-    for (std::size_t level = 0; level < tree.num_blocks(); ++level) {
-      double bw_est;
-      {
-        obs::ScopedSpan measure_span("measure_bandwidth");
-        bw_est = tl.estimator.estimate_at(tl.t_ms);
-      }
-      int fork;
-      {
-        obs::ScopedSpan fork_span("fork_select");
-        fork = tree.classify(bw_est);
-      }
-      const tree::TreeNode* next = nullptr;
-      for (const tree::TreeNode& c : node->children)
-        if (c.fork == fork) next = &c;
-      if (next == nullptr) break;
-      node = next;
-      const std::size_t begin = tree.block_begin(level);
-      for (std::size_t x = 0; x < node->block_plan.size(); ++x)
-        s.plan[begin + x] = node->block_plan[x];
-      const std::size_t edge_end = begin + node->cut_local;
-      {
-        obs::ScopedSpan edge_span("edge_compute");
-        const double ms = block_compute_ms(tl, s, begin, edge_end);
-        edge_span.set_modelled_ms(ms);
-        tl.t_ms += ms;
-      }
-      if (node->partitions(tree.block_len(level))) {
-        s.cut = edge_end;
-        break;
-      }
-    }
-    offload_tail(tl, s, fs);
-    frame_span.set_modelled_ms(tl.t_ms - t_start);
-    latencies.push_back(tl.t_ms - t_start);
-    strategies.push_back(std::move(s));
-  }
-  return summarize(strategies, latencies, fs);
+  return run_frames("run_tree", 0x7EEu, [&](Timeline& tl) {
+    // Alg. 2: measure (an estimate of) the bandwidth before each block at
+    // the *current* simulated time, and pay for each block as it executes.
+    const auto measure = [&](std::size_t) {
+      const double bw_est = tl.measure();
+      // The walk classifies `bw_est` into a fork as soon as this returns.
+      obs::ScopedSpan fork_span("fork_select");
+      return bw_est;
+    };
+    const auto run_block = [&](const tree::TreeNode& node, const Strategy& s) {
+      // One compute draw per block walked, even when its edge slice is
+      // empty.
+      const std::size_t begin = tree.block_begin(node.depth);
+      obs::ScopedSpan edge_span("edge_compute");
+      const double ms = block_compute_ms(tl, s, begin, begin + node.cut_local);
+      edge_span.set_modelled_ms(ms);
+      tl.t_ms += ms;
+    };
+    return tree.compose_online(measure, run_block).strategy;
+  });
 }
 
 }  // namespace cadmc::runtime

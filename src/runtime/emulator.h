@@ -12,6 +12,8 @@
 //    this gap is exactly the paper's emulation-vs-field gap.
 #pragma once
 
+#include <functional>
+
 #include "engine/strategy.h"
 #include "net/estimator.h"
 #include "net/scenes.h"
@@ -28,7 +30,7 @@ struct RunStats {
   double mean_accuracy = 0.0;
   double mean_reward = 0.0;
   int inferences = 0;
-  // Fault accounting (all zero when no cloud deadline is configured).
+  // Fault accounting (all zero while every cloud leg finishes in time).
   double p99_latency_ms = 0.0;
   int deadline_misses = 0;   // cloud path abandoned at the deadline
   int edge_fallbacks = 0;    // inferences served by the local suffix
@@ -44,12 +46,13 @@ struct RunnerConfig {
   double field_compute_noise = 0.10;   // lognormal sigma on block compute (field)
   double field_staleness_extra_ms = 300.0;  // extra estimate staleness (field)
   std::uint64_t seed = 0xF1E1D;
-  // Fault tolerance. A positive deadline bounds the cloud leg
-  // (transfer + cloud compute) of each inference: a miss costs the deadline
+  // Fault tolerance (OffloadRule). A positive deadline bounds the cloud leg
+  // (transfer + cloud compute) of each inference; a leg past it, or one
+  // that never finishes (a blackout), is a miss: it costs the deadline
   // wait, trips the breaker, and — when `edge_fallback` — the uncompressed
   // suffix runs on the edge instead (the model-tree all-edge fork). With
   // fallback disabled a miss is a failed inference and availability drops.
-  double cloud_deadline_ms = 0.0;   // 0 = unbounded (legacy behaviour)
+  double cloud_deadline_ms = 0.0;   // 0 = no deadline
   bool edge_fallback = true;
   CircuitBreakerConfig breaker;
   // Optional chaos source (not owned): compute stragglers inflate block
@@ -83,30 +86,26 @@ class InferenceRunner {
     double t_ms;
     net::BandwidthEstimator estimator;
     util::Rng rng;
+    double measure();  // the bandwidth estimate at t_ms
   };
-  /// Mutable fault state threaded through one run_* sweep: the breaker
-  /// persists across the sweep's inferences, mirroring a long-lived session.
-  struct FaultState {
-    CircuitBreaker breaker;
-    int deadline_misses = 0;
-    int edge_fallbacks = 0;
-    int failures = 0;
-  };
-  FaultState make_fault_state() const;
-  /// Executes `strategy` starting at `tl.t_ms`, walking blocks and paying
-  /// compute/transfer per the timing mode. Returns total latency.
-  double execute(Timeline& tl, const engine::Strategy& strategy,
-                 FaultState& fs) const;
-  /// Pays for the cloud leg at `strategy.cut` (deadline-aware), or the edge
-  /// fallback / failure when the cloud is unreachable.
+  /// Picks one frame's strategy at `tl.t_ms` and pays for its edge blocks.
+  using EdgeLeg = std::function<engine::Strategy(Timeline& tl)>;
+  /// The frame loop all three policies share: `edge_leg` runs each frame's
+  /// edge side, then the offload rule books its cloud leg. One rule (and so
+  /// one breaker) spans the sweep, mirroring a long-lived session.
+  RunStats run_frames(const char* policy, unsigned rng_salt,
+                      const EdgeLeg& edge_leg) const;
+  /// Pays for a fixed strategy's edge blocks, one compute draw per block.
+  void edge_blocks(Timeline& tl, const engine::Strategy& strategy) const;
+  /// Books the cloud leg at `strategy.cut` through `rule`.
   void offload_tail(Timeline& tl, const engine::Strategy& strategy,
-                    FaultState& fs) const;
+                    OffloadRule& rule) const;
   double block_compute_ms(Timeline& tl, const engine::Strategy& strategy,
                           std::size_t begin, std::size_t end) const;
   double transfer_ms(Timeline& tl, std::int64_t bytes) const;
   RunStats summarize(const std::vector<engine::Strategy>& strategies,
                      const std::vector<double>& latencies,
-                     const FaultState& fs) const;
+                     const OffloadRule& rule) const;
   double start_time(int inference_index) const;
 
   const engine::StrategyEvaluator* evaluator_;

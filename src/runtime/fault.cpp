@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/trace_export.h"
+#include "runtime/transport.h"
 
 namespace cadmc::runtime {
 
@@ -13,6 +15,16 @@ void validate_prob(double p, const char* what) {
   if (p < 0.0 || p > 1.0)
     throw std::invalid_argument(std::string("FaultPlan: ") + what +
                                 " outside [0,1]");
+}
+
+/// Adds `n` to counter `name` of `metrics` (null = the global registry)
+/// while obs::enabled().
+void count(obs::MetricsRegistry* metrics, const char* name,
+           std::int64_t n = 1) {
+  if (!obs::enabled()) return;
+  (metrics != nullptr ? *metrics : obs::MetricsRegistry::global())
+      .counter(name)
+      .add(n);
 }
 }  // namespace
 
@@ -35,10 +47,6 @@ FaultInjector::FaultInjector(FaultPlan plan, obs::MetricsRegistry* metrics)
     throw std::invalid_argument("FaultPlan: negative outage rate");
   if (plan_.outage_mean_ms <= 0.0)
     throw std::invalid_argument("FaultPlan: non-positive outage mean");
-}
-
-obs::MetricsRegistry& FaultInjector::metrics() const {
-  return metrics_ != nullptr ? *metrics_ : obs::MetricsRegistry::global();
 }
 
 net::BandwidthTrace FaultInjector::degrade_trace(
@@ -74,34 +82,31 @@ net::BandwidthTrace FaultInjector::degrade_trace(
     for (std::size_t i = first; i < std::min(last, samples.size()); ++i)
       samples[i] = 0.0;
   }
-  if (obs::enabled() && zeroed_windows > 0)
-    metrics()
-        .counter("cadmc.runtime.fault.blackout_windows")
-        .add(static_cast<std::int64_t>(zeroed_windows));
+  if (zeroed_windows > 0)
+    count(metrics_, "cadmc.runtime.fault.blackout_windows",
+          static_cast<std::int64_t>(zeroed_windows));
   return net::BandwidthTrace(dt, std::move(samples));
 }
 
 FrameFault FaultInjector::next_frame_fault() {
   if (schedule_pos_ < plan_.frame_schedule.size()) {
     const FrameFault fault = plan_.frame_schedule[schedule_pos_++];
-    if (fault != FrameFault::kNone && obs::enabled())
-      metrics().counter("cadmc.runtime.fault.scheduled_frame_faults").add(1);
+    if (fault != FrameFault::kNone)
+      count(metrics_, "cadmc.runtime.fault.scheduled_frame_faults");
     return fault;
   }
   const double u = frame_rng_.uniform();
   if (u < plan_.frame_drop_prob) {
-    if (obs::enabled()) metrics().counter("cadmc.runtime.fault.frame_drops").add(1);
+    count(metrics_, "cadmc.runtime.fault.frame_drops");
     return FrameFault::kDrop;
   }
   if (u < plan_.frame_drop_prob + plan_.frame_corrupt_prob) {
-    if (obs::enabled())
-      metrics().counter("cadmc.runtime.fault.frame_corruptions").add(1);
+    count(metrics_, "cadmc.runtime.fault.frame_corruptions");
     return FrameFault::kCorrupt;
   }
   if (u < plan_.frame_drop_prob + plan_.frame_corrupt_prob +
               plan_.frame_truncate_prob) {
-    if (obs::enabled())
-      metrics().counter("cadmc.runtime.fault.frame_truncations").add(1);
+    count(metrics_, "cadmc.runtime.fault.frame_truncations");
     return FrameFault::kTruncate;
   }
   return FrameFault::kNone;
@@ -109,14 +114,13 @@ FrameFault FaultInjector::next_frame_fault() {
 
 bool FaultInjector::next_cloud_crash() {
   const bool crash = crash_rng_.bernoulli(plan_.cloud_crash_prob);
-  if (crash && obs::enabled())
-    metrics().counter("cadmc.runtime.fault.cloud_crashes").add(1);
+  if (crash) count(metrics_, "cadmc.runtime.fault.cloud_crashes");
   return crash;
 }
 
 double FaultInjector::next_straggler_factor() {
   if (!straggler_rng_.bernoulli(plan_.straggler_prob)) return 1.0;
-  if (obs::enabled()) metrics().counter("cadmc.runtime.fault.stragglers").add(1);
+  count(metrics_, "cadmc.runtime.fault.stragglers");
   return std::exp(std::abs(straggler_rng_.normal(0.0, plan_.straggler_sigma)));
 }
 
@@ -129,17 +133,12 @@ CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config,
     throw std::invalid_argument("CircuitBreaker: probe_interval < 1");
 }
 
-obs::MetricsRegistry& CircuitBreaker::metrics() const {
-  return metrics_ != nullptr ? *metrics_ : obs::MetricsRegistry::global();
-}
-
 bool CircuitBreaker::allow_request() {
   if (state_ == State::kClosed) return true;
   // While open, every probe_interval-th request half-opens the breaker.
   ++open_requests_;
   if (open_requests_ % config_.probe_interval == 0) {
-    if (obs::enabled())
-      metrics().counter("cadmc.runtime.fault.breaker_probes").add(1);
+    count(metrics_, "cadmc.runtime.fault.breaker_probes");
     return true;
   }
   return false;
@@ -149,8 +148,7 @@ void CircuitBreaker::record_success() {
   if (state_ == State::kOpen) {
     state_ = State::kClosed;
     open_requests_ = 0;
-    if (obs::enabled())
-      metrics().counter("cadmc.runtime.fault.breaker_closes").add(1);
+    count(metrics_, "cadmc.runtime.fault.breaker_closes");
   }
   consecutive_failures_ = 0;
 }
@@ -161,12 +159,53 @@ void CircuitBreaker::record_failure() {
       consecutive_failures_ >= config_.failure_threshold) {
     state_ = State::kOpen;
     open_requests_ = 0;
-    if (obs::enabled())
-      metrics().counter("cadmc.runtime.fault.breaker_opens").add(1);
+    count(metrics_, "cadmc.runtime.fault.breaker_opens");
     // A breaker opening is the postmortem moment: flush the flight recorder
     // so the dump holds the spans and faults that led here.
     obs::flight_fault(obs::FlightEventKind::kBreaker, "breaker_open");
   }
+}
+
+OffloadRule::OffloadRule(CircuitBreakerConfig breaker, double deadline_ms,
+                         bool edge_fallback, obs::MetricsRegistry* metrics)
+    : breaker_(breaker, metrics),
+      deadline_ms_(deadline_ms),
+      edge_fallback_(edge_fallback),
+      metrics_(metrics) {}
+
+double OffloadRule::offload(bool link_dead,
+                            const std::function<double()>& cloud_leg,
+                            const std::function<void()>& edge_leg) {
+  if (link_dead) count(metrics_, "cadmc.runtime.fault.dead_link_detected");
+  double wait_ms = 0.0;
+  if (!link_dead && breaker_.allow_request()) {
+    if (!cloud_leg) return 0.0;
+    double ms = std::numeric_limits<double>::infinity();
+    try {
+      ms = cloud_leg();
+    } catch (const TransportError&) {
+      // The call never finished: ms stays infinite, a miss.
+    }
+    if (std::isfinite(ms) && (deadline_ms_ <= 0.0 || ms <= deadline_ms_)) {
+      breaker_.record_success();
+      return ms;
+    }
+    // The miss is only detected when the deadline fires; that wait is the
+    // price of the failed attempt.
+    breaker_.record_failure();
+    ++deadline_misses_;
+    count(metrics_, "cadmc.runtime.fault.deadline_misses");
+    obs::flight_fault(obs::FlightEventKind::kFault, "deadline_miss");
+    wait_ms = deadline_ms_;
+  }
+  if (edge_fallback_) {
+    ++edge_fallbacks_;
+    count(metrics_, "cadmc.runtime.fault.edge_fallbacks");
+    edge_leg();
+  } else {
+    ++failures_;
+  }
+  return wait_ms;
 }
 
 }  // namespace cadmc::runtime

@@ -11,8 +11,9 @@
 //    truncation are decided per transport frame, cloud crashes per call, and
 //    compute stragglers as lognormal multipliers per block.
 //  * CircuitBreaker — consecutive-failure breaker with periodic half-open
-//    probes, shared by FieldSession, InferenceRunner and DecisionEngine to
-//    decide when to stop waiting on the cloud and run the all-edge branch.
+//    probes.
+//  * OffloadRule — the one rule that decides and books every frame's cloud
+//    leg, for InferenceRunner, FieldSession and DecisionEngine alike.
 //
 // Every decision consumes an independent deterministic RNG stream, so a
 // fault schedule is reproducible bit-for-bit for a given seed. All events
@@ -20,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "net/trace.h"
@@ -90,8 +92,6 @@ class FaultInjector {
   double next_straggler_factor();
 
  private:
-  obs::MetricsRegistry& metrics() const;
-
   FaultPlan plan_;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::size_t schedule_pos_ = 0;
@@ -127,13 +127,51 @@ class CircuitBreaker {
   int consecutive_failures() const { return consecutive_failures_; }
 
  private:
-  obs::MetricsRegistry& metrics() const;
-
   CircuitBreakerConfig config_;
   obs::MetricsRegistry* metrics_ = nullptr;
   State state_ = State::kClosed;
   int consecutive_failures_ = 0;
   int open_requests_ = 0;  // requests seen since the breaker opened
+};
+
+/// The offload-or-fall-back rule of one long-lived session; it owns the
+/// session's breaker and tallies. For a frame whose strategy offloads:
+///  * the cloud leg is tried only when the link is not known to be dead and
+///    the breaker allows it;
+///  * a leg that cannot finish — a non-finite time, a time past a positive
+///    deadline, or a TransportError — is a miss: the breaker records a
+///    failure, cadmc.runtime.fault.deadline_misses and the flight event
+///    `deadline_miss` are booked, and the frame waits out the deadline. A
+///    leg that finishes records a breaker success;
+///  * a skipped or missed leg runs `edge_leg`, the uncompressed suffix on
+///    the edge (counted under edge_fallbacks), or, with fallback disabled,
+///    the frame fails.
+class OffloadRule {
+ public:
+  explicit OffloadRule(CircuitBreakerConfig breaker = {},
+                       double deadline_ms = 0.0, bool edge_fallback = true,
+                       obs::MetricsRegistry* metrics = nullptr);
+
+  /// Decides and books one frame's cloud leg. `cloud_leg` runs the leg and
+  /// returns its time (ms). An empty `cloud_leg` only decides: the caller
+  /// runs no leg, and whoever owns the transport books it on breaker().
+  /// Returns the frame's wait on the cloud leg: the leg's time when served,
+  /// the deadline when missed, 0 when skipped.
+  double offload(bool link_dead, const std::function<double()>& cloud_leg,
+                 const std::function<void()>& edge_leg);
+
+  CircuitBreaker& breaker() { return breaker_; }
+  const CircuitBreaker& breaker() const { return breaker_; }
+  int deadline_misses() const { return deadline_misses_; }
+  int edge_fallbacks() const { return edge_fallbacks_; }
+  int failures() const { return failures_; }
+
+ private:
+  CircuitBreaker breaker_;
+  double deadline_ms_;
+  bool edge_fallback_;
+  obs::MetricsRegistry* metrics_;
+  int deadline_misses_ = 0, edge_fallbacks_ = 0, failures_ = 0;
 };
 
 }  // namespace cadmc::runtime

@@ -40,7 +40,8 @@ FieldSession::FieldSession(engine::RealizedStrategy realized,
       rtt_ms_(rtt_ms),
       time_scale_(time_scale),
       faults_(faults),
-      breaker_(faults.breaker, faults.metrics) {
+      rule_(faults.breaker, faults.cloud_deadline_ms, /*edge_fallback=*/true,
+            faults.metrics) {
   // Field mode is where the link misbehaves: the flight recorder is always
   // on so a fault dump exists even when metrics collection is off.
   obs::set_flight_recording(true);
@@ -114,18 +115,6 @@ void FieldSession::restart_cloud() {
     metrics().counter("cadmc.runtime.fault.cloud_restarts").add(1);
 }
 
-FieldOutcome FieldSession::degrade_locally(FieldOutcome outcome,
-                                           const tensor::Tensor& features) {
-  outcome.degraded = true;
-  const ExecutionResult local =
-      execute_range(model_, features, cut_, model_.size(), edge_device_);
-  outcome.logits = local.output;
-  outcome.cloud_ms = local.device_ms;  // the suffix pays edge-device prices
-  if (obs::enabled())
-    metrics().counter("cadmc.runtime.fault.edge_fallbacks").add(1);
-  return outcome;
-}
-
 FieldOutcome FieldSession::infer(const tensor::Tensor& input,
                                  double t_virtual_ms) {
   // Root of the per-frame causal tree: edge compute -> transfer ->
@@ -146,45 +135,43 @@ FieldOutcome FieldSession::infer(const tensor::Tensor& input,
   }
   if (faults_.injector != nullptr && faults_.injector->next_cloud_crash())
     kill_cloud();
-  if (!breaker_.allow_request()) return degrade_locally(outcome, features);
-
-  const double transfer = shaped_transfer_ms(
-      trace_, t_virtual_ms + outcome.edge_ms, features.byte_size(), rtt_ms_);
-  if (!std::isfinite(transfer)) {
-    // Dead link: the payload would never arrive. Treat it as a deadline
-    // miss without sleeping on it.
-    breaker_.record_failure();
-    if (obs::enabled())
-      metrics().counter("cadmc.runtime.fault.deadline_misses").add(1);
-    obs::flight_fault(obs::FlightEventKind::kFault, "deadline_miss");
-    outcome.transfer_ms = faults_.cloud_deadline_ms;
-    return degrade_locally(outcome, features);
-  }
-  outcome.transfer_ms = transfer;
-  {
-    obs::ScopedSpan transfer_span("transfer", faults_.metrics);
-    transfer_span.set_modelled_ms(outcome.transfer_ms);
-    if (time_scale_ > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          outcome.transfer_ms * time_scale_));
-    }
-  }
-  try {
-    const RemoteResult remote = call_cloud(client_, features);
-    breaker_.record_success();
-    outcome.logits = remote.logits;
-    outcome.cloud_ms = remote.cloud_ms;
+  const double wait_ms = rule_.offload(
+      /*link_dead=*/false,
+      [&] {
+        const double transfer =
+            shaped_transfer_ms(trace_, t_virtual_ms + outcome.edge_ms,
+                               features.byte_size(), rtt_ms_);
+        // Dead link: the payload would never arrive; don't sleep on it.
+        if (!std::isfinite(transfer)) return transfer;
+        {
+          obs::ScopedSpan transfer_span("transfer", faults_.metrics);
+          transfer_span.set_modelled_ms(transfer);
+          if (time_scale_ > 0.0) {
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::milli>(transfer *
+                                                          time_scale_));
+          }
+        }
+        const RemoteResult remote = call_cloud(client_, features);
+        outcome.transfer_ms = transfer;
+        outcome.logits = remote.logits;
+        outcome.cloud_ms = remote.cloud_ms;
+        return transfer + remote.cloud_ms;
+      },
+      [&] {
+        // The suffix runs locally and pays edge-device prices.
+        const ExecutionResult local =
+            execute_range(model_, features, cut_, model_.size(), edge_device_);
+        outcome.degraded = true;
+        outcome.logits = local.output;
+        outcome.cloud_ms = local.device_ms;
+      });
+  if (outcome.degraded) {
+    outcome.transfer_ms = wait_ms;
+  } else {
     frame_span.set_modelled_ms(outcome.total_ms());
-    return outcome;
-  } catch (const TransportError&) {
-    breaker_.record_failure();
-    if (obs::enabled())
-      metrics().counter("cadmc.runtime.fault.deadline_misses").add(1);
-    obs::flight_fault(obs::FlightEventKind::kFault, "deadline_miss");
-    // The wait until the deadline fired is what the failed attempt cost.
-    outcome.transfer_ms = faults_.cloud_deadline_ms;
-    return degrade_locally(outcome, features);
   }
+  return outcome;
 }
 
 }  // namespace cadmc::runtime

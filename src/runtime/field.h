@@ -7,12 +7,13 @@
 // run and agree with local execution.
 //
 // Fault tolerance (Sec. VII-B3: the field is where the link misbehaves):
-// cloud calls run under a deadline with bounded retry; a circuit breaker
-// counts consecutive cloud failures and, once open, answers inferences by
-// running the model suffix locally on the edge device (the uncompressed
-// suffix is exactly the all-edge fork the model tree keeps for dead links),
-// letting a periodic probe close the breaker when the cloud returns. A
-// FaultInjector can kill the cloud process or perturb transport frames.
+// cloud calls run under a deadline with bounded retry, and the shared
+// OffloadRule (fault.h) books each call: its circuit breaker counts
+// consecutive cloud failures and, once open, answers inferences by running
+// the model suffix locally on the edge device (the uncompressed suffix is
+// exactly the all-edge fork the model tree keeps for dead links), letting a
+// periodic probe close the breaker when the cloud returns. A FaultInjector
+// can kill the cloud process or perturb transport frames.
 #pragma once
 
 #include <memory>
@@ -85,11 +86,11 @@ class FieldSession {
   /// the client. The breaker stays open until a probe call succeeds.
   void restart_cloud();
 
-  CircuitBreaker::State breaker_state() const { return breaker_.state(); }
+  CircuitBreaker::State breaker_state() const {
+    return rule_.breaker().state();
+  }
 
  private:
-  FieldOutcome degrade_locally(FieldOutcome outcome,
-                               const tensor::Tensor& features);
   obs::MetricsRegistry& metrics() const;
   TcpClientConfig client_config() const;
   /// The executor this session's cloud half lives on (shared or owned).
@@ -103,7 +104,7 @@ class FieldSession {
   net::BandwidthTrace trace_;
   double rtt_ms_, time_scale_;
   FieldFaultConfig faults_;
-  CircuitBreaker breaker_;
+  OffloadRule rule_;
   std::unique_ptr<CloudExecutor> cloud_;
   TcpClient client_;
   bool cloud_up_ = false;

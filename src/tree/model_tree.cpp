@@ -1,5 +1,6 @@
 #include "tree/model_tree.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -78,80 +79,87 @@ void ModelTree::reset() {
   }
 }
 
-const TreeNode* ModelTree::child_for(const TreeNode& node, int fork) const {
-  for (const TreeNode& c : node.children)
-    if (c.fork == fork) return &c;
-  return nullptr;
-}
-
-void ModelTree::append_block_decisions(Strategy& s, const TreeNode& node) const {
-  const std::size_t begin = block_begin(node.depth);
-  for (std::size_t i = 0; i < node.block_plan.size(); ++i) {
-    if (begin + i >= s.plan.size()) break;
-    s.plan[begin + i] = node.block_plan[i];
-  }
-}
-
-ModelTree::PathStrategy ModelTree::strategy_for_path(
-    const std::vector<int>& forks) const {
+ModelTree::PathStrategy ModelTree::walk(
+    const std::function<int(std::size_t level)>& pick_fork,
+    const BlockHook& on_block) const {
   PathStrategy out;
-  out.strategy.plan.assign(base_->size(), TechniqueId::kNone);
-  out.strategy.cut = base_->size();
+  Strategy& s = out.strategy;
+  s.plan.assign(base_->size(), TechniqueId::kNone);
+  s.cut = base_->size();
   const TreeNode* node = &root_;
   for (std::size_t level = 0; level < num_blocks(); ++level) {
-    if (level >= forks.size())
-      throw std::invalid_argument("strategy_for_path: fork path too short");
-    node = child_for(*node, forks[level]);
-    if (node == nullptr)
-      throw std::logic_error("strategy_for_path: missing child");
-    append_block_decisions(out.strategy, *node);
+    const int fork = pick_fork(level);
+    const auto child = std::find_if(
+        node->children.begin(), node->children.end(),
+        [fork](const TreeNode& c) { return c.fork == fork; });
+    if (child == node->children.end())
+      throw std::logic_error("ModelTree: missing child");
+    node = &*child;
+    const std::size_t begin = block_begin(level);
+    for (std::size_t i = 0; i < node->block_plan.size(); ++i)
+      if (begin + i < s.plan.size()) s.plan[begin + i] = node->block_plan[i];
     ++out.blocks_walked;
-    if (node->partitions(block_len(node->depth))) {
-      out.strategy.cut = block_begin(node->depth) + node->cut_local;
+    if (on_block) on_block(*node, s);
+    if (node->partitions(block_len(level))) {
+      s.cut = begin + node->cut_local;
       break;
     }
   }
   return out;
+}
+
+ModelTree::PathStrategy ModelTree::strategy_for_path(
+    const std::vector<int>& forks) const {
+  return walk(
+      [&](std::size_t level) {
+        if (level >= forks.size())
+          throw std::invalid_argument("strategy_for_path: fork path too short");
+        return forks[level];
+      },
+      {});
 }
 
 std::vector<std::vector<int>> ModelTree::all_paths() const {
   std::vector<std::vector<int>> paths;
   std::vector<int> current;
-  const std::function<void(const TreeNode&)> walk = [&](const TreeNode& node) {
+  const std::function<void(const TreeNode&)> visit = [&](const TreeNode& node) {
     for (const TreeNode& child : node.children) {
       current.push_back(child.fork);
       if (child.children.empty()) {
         paths.push_back(current);
       } else {
-        walk(child);
+        visit(child);
       }
       current.pop_back();
     }
   };
-  walk(root_);
+  visit(root_);
   return paths;
 }
 
 ModelTree::Composition ModelTree::compose_online(
-    const std::function<double(std::size_t block)>& measure_bandwidth) const {
+    const std::function<double(std::size_t block)>& measure_bandwidth,
+    const BlockHook& on_block) const {
   Composition out;
-  out.strategy.plan.assign(base_->size(), TechniqueId::kNone);
-  out.strategy.cut = base_->size();
-  const TreeNode* node = &root_;
-  for (std::size_t level = 0; level < num_blocks(); ++level) {
-    const double bw = measure_bandwidth(level);
-    const int fork = classify(bw);
-    out.observed_bandwidths.push_back(bw);
-    out.forks.push_back(fork);
-    node = child_for(*node, fork);
-    if (node == nullptr) throw std::logic_error("compose_online: missing child");
-    append_block_decisions(out.strategy, *node);
-    if (node->partitions(block_len(node->depth))) {
-      out.strategy.cut = block_begin(node->depth) + node->cut_local;
-      break;
-    }
-  }
+  out.strategy = walk(
+      [&](std::size_t level) {
+        out.observed_bandwidths.push_back(measure_bandwidth(level));
+        out.forks.push_back(classify(out.observed_bandwidths.back()));
+        return out.forks.back();
+      },
+      on_block).strategy;
   return out;
+}
+
+bool ModelTree::graft_block(TreeNode& node, const Strategy& branch) const {
+  const std::size_t begin = block_begin(node.depth);
+  const std::size_t cut = std::min(branch.cut, block_end(node.depth));
+  node.cut_local = cut > begin ? cut - begin : 0;
+  const auto first = branch.plan.begin() + static_cast<std::ptrdiff_t>(begin);
+  node.block_plan.assign(first, first + static_cast<std::ptrdiff_t>(node.cut_local));
+  if (!node.partitions(block_len(node.depth))) return true;
+  node.children.clear();
+  return false;
 }
 
 void ModelTree::graft_branch(int fork, const Strategy& branch) {
@@ -165,22 +173,7 @@ void ModelTree::graft_branch(int fork, const Strategy& branch) {
       if (c.fork == fork) next = &c;
     if (next == nullptr) return;  // no deeper levels exist
     node = next;
-    const std::size_t begin = block_begin(level), end = block_end(level);
-    const std::size_t cut = std::min(branch.cut, end);
-    if (cut <= begin) {
-      node->cut_local = 0;
-      node->block_plan.clear();
-      node->children.clear();
-      return;
-    }
-    node->cut_local = cut - begin;
-    node->block_plan.assign(branch.plan.begin() + static_cast<std::ptrdiff_t>(begin),
-                            branch.plan.begin() + static_cast<std::ptrdiff_t>(cut));
-    node->block_plan.resize(node->cut_local, TechniqueId::kNone);
-    if (node->partitions(block_len(level))) {
-      node->children.clear();
-      return;
-    }
+    if (!graft_block(*node, branch)) return;
   }
 }
 
@@ -188,22 +181,7 @@ void ModelTree::graft_everywhere(const Strategy& branch) {
   if (branch.plan.size() != base_->size())
     throw std::invalid_argument("graft_everywhere: plan size mismatch");
   const std::function<void(TreeNode&)> write = [&](TreeNode& node) {
-    const std::size_t begin = block_begin(node.depth), end = block_end(node.depth);
-    const std::size_t cut = std::min(branch.cut, end);
-    if (cut <= begin) {
-      node.cut_local = 0;
-      node.block_plan.clear();
-      node.children.clear();
-      return;
-    }
-    node.cut_local = cut - begin;
-    node.block_plan.assign(branch.plan.begin() + static_cast<std::ptrdiff_t>(begin),
-                           branch.plan.begin() + static_cast<std::ptrdiff_t>(cut));
-    node.block_plan.resize(node.cut_local, TechniqueId::kNone);
-    if (node.partitions(block_len(node.depth))) {
-      node.children.clear();
-      return;
-    }
+    if (!graft_block(node, branch)) return;
     for (TreeNode& c : node.children) write(c);
   };
   for (TreeNode& c : root_.children) write(c);

@@ -65,6 +65,11 @@ class ModelTree {
   /// Builds a fully 'None' tree (no partition, no compression anywhere).
   void reset();
 
+  /// Called once per block the walk runs, after the node's block decisions
+  /// are written into `strategy` and before the walk moves the cut.
+  using BlockHook =
+      std::function<void(const TreeNode& node, const Strategy& strategy)>;
+
   /// The strategy realized by following `forks` (fork per level; extra
   /// entries ignored once a node partitions). Also returns how many blocks
   /// actually executed on the edge path.
@@ -80,15 +85,17 @@ class ModelTree {
 
   /// Alg. 2: composes the inference strategy online. `measure_bandwidth` is
   /// called once before each block and returns the current estimate
-  /// (bytes/ms). Returns the composed strategy, the forks taken and the
-  /// bandwidth observed per block.
+  /// (bytes/ms); `on_block`, when set, runs each block as the walk reaches
+  /// it. Returns the composed strategy, the forks taken and the bandwidth
+  /// observed per block.
   struct Composition {
     Strategy strategy;
     std::vector<int> forks;
     std::vector<double> observed_bandwidths;
   };
   Composition compose_online(
-      const std::function<double(std::size_t block)>& measure_bandwidth) const;
+      const std::function<double(std::size_t block)>& measure_bandwidth,
+      const BlockHook& on_block = {}) const;
 
   /// Grafts an optimal-branch strategy onto the all-`fork` path (optimal
   /// branch boosting, Sec. VII-A).
@@ -102,8 +109,13 @@ class ModelTree {
   std::string to_string() const;
 
  private:
-  const TreeNode* child_for(const TreeNode& node, int fork) const;
-  void append_block_decisions(Strategy& s, const TreeNode& node) const;
+  /// The one Alg. 2 walk: `pick_fork(level)` names the fork to descend
+  /// before each block.
+  PathStrategy walk(const std::function<int(std::size_t level)>& pick_fork,
+                    const BlockHook& on_block) const;
+  /// Writes `branch`'s decisions for block `node.depth` into `node`; returns
+  /// false when the node ends up terminal (it partitions, children dropped).
+  bool graft_block(TreeNode& node, const Strategy& branch) const;
 
   const nn::Model* base_ = nullptr;
   std::vector<std::size_t> edges_;  // 0, boundaries..., base size

@@ -559,19 +559,36 @@ TEST_F(RunnerFaultFixture, BlackoutTraceWithFallbackStaysAvailable) {
   plan.outage_rate_per_s = 0.15;
   plan.outage_mean_ms = 1'500.0;
   FaultInjector injector(plan);
+  const auto trace = injector.degrade_trace(make_trace());
   RunnerConfig config;
   config.mode = TimingMode::kField;
   config.inferences = 12;
   config.cloud_deadline_ms = 400.0;
-  InferenceRunner runner(evaluator_, injector.degrade_trace(make_trace()),
-                         boundaries_, config);
-  const RunStats stats = runner.run_surgery();
+  const RunStats stats =
+      InferenceRunner(evaluator_, trace, boundaries_, config).run_surgery();
   EXPECT_DOUBLE_EQ(stats.availability, 1.0);
   EXPECT_EQ(stats.failures, 0);
   // No inference hung on a dead link: an unserved +inf transfer would have
   // propagated into the mean.
   EXPECT_TRUE(std::isfinite(stats.mean_latency_ms));
   EXPECT_TRUE(std::isfinite(stats.p99_latency_ms));
+
+  // With no deadline, an emulated transfer into a blackout can never
+  // finish: it is a miss followed by the edge fallback, not +inf latency.
+  RunnerConfig unbounded;
+  unbounded.mode = TimingMode::kEstimated;
+  unbounded.inferences = 12;
+  Strategy first_block;
+  first_block.plan.assign(base_.size(), TechniqueId::kNone);
+  first_block.cut = boundaries_.front();
+  const RunStats blackout = InferenceRunner(evaluator_, trace, boundaries_,
+                                            unbounded)
+                                .run_branch(first_block);
+  EXPECT_GT(blackout.deadline_misses, 0);
+  EXPECT_GE(blackout.edge_fallbacks, blackout.deadline_misses);
+  EXPECT_DOUBLE_EQ(blackout.availability, 1.0);
+  EXPECT_TRUE(std::isfinite(blackout.mean_latency_ms));
+  EXPECT_TRUE(std::isfinite(blackout.p99_latency_ms));
 }
 
 TEST(DecisionEngineFault, OpenBreakerForcesAllEdgeInference) {

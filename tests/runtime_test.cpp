@@ -208,6 +208,40 @@ TEST_F(RunnerFixture, TreeAdaptsAndTracksSurgery) {
   EXPECT_GT(tree_stats.mean_accuracy, 0.80);
 }
 
+TEST_F(RunnerFixture, FixedStrategyEqualsOnePathTree) {
+  // The tree walk's per-block hook prices blocks exactly like a fixed
+  // strategy's edge loop: a tree with one strategy grafted on every node
+  // runs bitwise like that strategy. (Field mode differs by design: the two
+  // policies draw compute noise from different RNG salts.)
+  net::TraceGeneratorParams params;
+  params.mean_mbps = 6.8;
+  params.volatility = 0.6;
+  const auto trace = net::generate_trace(params, 30'000.0, 44);
+  for (const std::size_t cut : {0u, 2u, 7u, 8u, 9u, 18u, 20u}) {
+    for (const double deadline : {0.0, 60.0}) {
+      SCOPED_TRACE("cut " + std::to_string(cut) + " deadline " +
+                   std::to_string(deadline));
+      RunnerConfig config;
+      config.inferences = 16;
+      config.cloud_deadline_ms = deadline;
+      const InferenceRunner runner(evaluator_, trace, boundaries_, config);
+      Strategy s;
+      s.cut = cut;
+      s.plan.assign(base_.size(), TechniqueId::kNone);
+      if (cut > 3) s.plan[3] = TechniqueId::kC1MobileNet;
+      tree::ModelTree mt(base_, boundaries_,
+                         {trace.quantile(0.25), trace.quantile(0.75)});
+      mt.graft_everywhere(s);
+      const RunStats branch = runner.run_branch(s);
+      const RunStats walked = runner.run_tree(mt);
+      EXPECT_EQ(walked.mean_latency_ms, branch.mean_latency_ms);
+      EXPECT_EQ(walked.mean_reward, branch.mean_reward);
+      EXPECT_EQ(walked.p99_latency_ms, branch.p99_latency_ms);
+      EXPECT_EQ(walked.deadline_misses, branch.deadline_misses);
+    }
+  }
+}
+
 TEST_F(RunnerFixture, FieldModeDegradesOutcomes) {
   // Same policies, field timing: reward should not improve (noise, fades,
   // staleness only add cost on average).
@@ -315,7 +349,8 @@ TEST(DecisionEngineFacade, RunnerIntegration) {
   engine.train_offline();
   RunnerConfig rc;
   rc.inferences = 5;
-  const InferenceRunner runner = engine.make_runner(rc);
+  const InferenceRunner runner(engine.evaluator(), engine.trace(),
+                               engine.boundaries(), rc);
   const RunStats stats = runner.run_tree(engine.tree());
   EXPECT_EQ(stats.inferences, 5);
   EXPECT_GT(stats.mean_reward, 100.0);
