@@ -60,10 +60,13 @@ int main() {
   params.mean_mbps = 3.0;
   params.volatility = 0.5;
   const net::BandwidthTrace trace = net::generate_trace(params, 30'000.0, 0xDE42);
+  runtime::CloudExecutor cloud(
+      realized.model.slice(realized.cut, realized.model.size()),
+      latency::ComputeLatencyModel(latency::cloud_profile()));
+  cloud.start();
   runtime::FieldSession session(
-      realized, latency::ComputeLatencyModel(latency::phone_profile()),
-      latency::ComputeLatencyModel(latency::cloud_profile()), trace,
-      transfer.rtt_ms, /*time_scale=*/0.02);
+      realized, &cloud, latency::ComputeLatencyModel(latency::phone_profile()),
+      trace, transfer.rtt_ms, /*time_scale=*/0.02);
 
   data::SynthCifar camera(32, 10, 0xDE43);
   int agree = 0;

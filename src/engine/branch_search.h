@@ -44,9 +44,6 @@ class BranchSearch {
   /// reuses trained controllers).
   Strategy sample_strategy(double bandwidth_bytes_per_ms, util::Rng& rng);
 
-  controller::PartitionController& partition_controller() { return partition_; }
-  controller::CompressionController& compression_controller() { return compression_; }
-
  private:
   const StrategyEvaluator* evaluator_;
   BranchSearchConfig config_;

@@ -126,11 +126,6 @@ class ResidualBlock : public Layer {
   std::int64_t macc(const Shape& in) const override;
   std::unique_ptr<Layer> clone() const override;
 
-  /// Internal structure, exposed so the partition layer can expand residual
-  /// units into explicit DAG nodes (main path, skip path, merge).
-  const std::vector<std::unique_ptr<Layer>>& main_path() const { return main_; }
-  const Conv2d* projection() const { return projection_.get(); }
-
  private:
   int in_channels_, out_channels_, stride_;
   bool bottleneck_;

@@ -40,7 +40,6 @@ class Model {
   std::unique_ptr<Layer> take_layer(std::size_t i);
 
   const Shape& input_shape() const { return input_shape_; }
-  void set_input_shape(Shape s) { input_shape_ = std::move(s); }
 
   /// Full inference pass over a batched input tensor.
   Tensor forward(const Tensor& input) const;

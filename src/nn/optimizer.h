@@ -23,8 +23,6 @@ class Sgd : public Optimizer {
   explicit Sgd(double lr, double momentum = 0.0, double weight_decay = 0.0);
   void step(const std::vector<tensor::Tensor*>& params,
             const std::vector<tensor::Tensor*>& grads) override;
-  void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
 
  private:
   double lr_, momentum_, weight_decay_;
@@ -37,7 +35,6 @@ class Adam : public Optimizer {
                 double eps = 1e-8);
   void step(const std::vector<tensor::Tensor*>& params,
             const std::vector<tensor::Tensor*>& grads) override;
-  void set_lr(double lr) { lr_ = lr; }
 
  private:
   double lr_, beta1_, beta2_, eps_;

@@ -86,8 +86,8 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
   const tree::ModelTree& model_tree = tree();
   obs::MetricsRegistry& reg = metrics();
   obs::ScopedSpan infer_span("infer", &reg);
-  net::BandwidthEstimator estimator(trace_, /*staleness_ms=*/200.0,
-                                    /*alpha=*/0.6);
+  net::BandwidthEstimator estimator(trace_, kEstimatorStalenessMs,
+                                    kEstimatorAlpha);
   // Alg. 2: one bandwidth measurement before each block. Inference time
   // advances as blocks execute, so later measurements see later link state.
   double t_cursor = t_ms;
@@ -113,7 +113,7 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
   if (outcome.strategy.cut < base_.size()) {
     const bool link_dead =
         (!composition.observed_bandwidths.empty() &&
-         composition.observed_bandwidths.back() <= config_.dead_link_bandwidth) ||
+         composition.observed_bandwidths.back() <= kDeadLinkBandwidth) ||
         trace_.at(t_ms) <= 0.0;
     rule_.offload(link_dead, {}, [&] {
       outcome.strategy.cut = base_.size();

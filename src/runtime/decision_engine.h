@@ -36,11 +36,9 @@ struct EngineConfig {
   // metrics (cadmc.search.*) always go to the global registry.
   obs::MetricsRegistry* metrics = nullptr;
   // Fault tolerance: when the composed strategy offloads but the estimated
-  // bandwidth at the cut is at/below this threshold (bytes/ms — the
-  // estimator floor means "link effectively dead"), or the cloud breaker is
-  // open, infer() degrades to the all-edge branch of the tree (cut moved to
-  // the end; the suffix fork is uncompressed by construction).
-  double dead_link_bandwidth = net::BandwidthEstimator::kMinBandwidth;
+  // bandwidth at the cut is at/below kDeadLinkBandwidth, or the cloud
+  // breaker is open, infer() degrades to the all-edge branch of the tree
+  // (cut moved to the end; the suffix fork is uncompressed by construction).
   CircuitBreakerConfig breaker;
 };
 

@@ -38,7 +38,7 @@ double InferenceRunner::block_compute_ms(Timeline& tl, const Strategy& strategy,
   if (config_.mode == TimingMode::kField) {
     // Device-side variance: the latency model is only an estimate of the
     // real hardware (Sec. VII-B3).
-    ms *= std::exp(tl.rng.normal(0.0, config_.field_compute_noise));
+    ms *= std::exp(tl.rng.normal(0.0, kFieldComputeNoise));
   }
   if (config_.injector != nullptr)
     ms *= config_.injector->next_straggler_factor();
@@ -139,14 +139,14 @@ RunStats InferenceRunner::run_frames(const char* policy, unsigned rng_salt,
   OffloadRule rule(config_.breaker, config_.cloud_deadline_ms,
                    config_.edge_fallback);
   const double staleness =
-      config_.estimator_staleness_ms +
-      (config_.mode == TimingMode::kField ? config_.field_staleness_extra_ms : 0.0);
+      kEstimatorStalenessMs +
+      (config_.mode == TimingMode::kField ? kFieldStalenessExtraMs : 0.0);
   // Policy-level root span: every frame of the run nests under it, so one
   // emulator run profiles as a single trace (`cadmc profile`).
   obs::ScopedSpan policy_span(policy);
   for (int i = 0; i < config_.inferences; ++i) {
     Timeline tl{start_time(i),
-                net::BandwidthEstimator(trace_, staleness, config_.estimator_alpha),
+                net::BandwidthEstimator(trace_, staleness, kEstimatorAlpha),
                 util::Rng(config_.seed ^ (rng_salt + static_cast<unsigned>(i)))};
     const double t_start = tl.t_ms;
     obs::ScopedSpan frame_span("frame");

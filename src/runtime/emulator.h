@@ -25,6 +25,20 @@ namespace cadmc::runtime {
 
 enum class TimingMode { kEstimated, kField };
 
+// Online bandwidth estimation, shared by InferenceRunner and
+// DecisionEngine::infer: the estimator reads the trace this stale and
+// smooths it with this EWMA weight.
+inline constexpr double kEstimatorStalenessMs = 200.0;
+inline constexpr double kEstimatorAlpha = 0.6;
+// Field timing (kField) adds reality on top: a lognormal sigma on block
+// compute and extra estimate staleness.
+inline constexpr double kFieldComputeNoise = 0.10;
+inline constexpr double kFieldStalenessExtraMs = 300.0;
+// An estimate at/below this (bytes/ms; the estimator floor) means the link
+// is effectively dead: DecisionEngine::infer then takes the all-edge fork.
+inline constexpr double kDeadLinkBandwidth =
+    net::BandwidthEstimator::kMinBandwidth;
+
 struct RunStats {
   double mean_latency_ms = 0.0;
   double mean_accuracy = 0.0;
@@ -41,10 +55,6 @@ struct RunStats {
 struct RunnerConfig {
   TimingMode mode = TimingMode::kEstimated;
   int inferences = 40;              // runs spread along the trace
-  double estimator_staleness_ms = 200.0;
-  double estimator_alpha = 0.6;
-  double field_compute_noise = 0.10;   // lognormal sigma on block compute (field)
-  double field_staleness_extra_ms = 300.0;  // extra estimate staleness (field)
   std::uint64_t seed = 0xF1E1D;
   // Fault tolerance (OffloadRule). A positive deadline bounds the cloud leg
   // (transfer + cloud compute) of each inference; a leg past it, or one

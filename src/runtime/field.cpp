@@ -12,29 +12,38 @@
 namespace cadmc::runtime {
 
 namespace {
-/// Same structure and bitwise-equal parameters.
-bool same_model(const nn::Model& a, const nn::Model& b) {
-  if (a.signature() != b.signature()) return false;
-  // params() is non-const only because optimizers write through it.
-  const auto pa = const_cast<nn::Model&>(a).params();
-  const auto pb = const_cast<nn::Model&>(b).params();
-  if (pa.size() != pb.size()) return false;
-  for (std::size_t i = 0; i < pa.size(); ++i)
-    if (pa[i]->shape() != pb[i]->shape() ||
-        std::memcmp(pa[i]->data().data(), pb[i]->data().data(),
-                    pa[i]->byte_size()) != 0)
-      return false;
+/// Whether `suffix` is layers [cut, end) of `model`: the same signature()
+/// and bitwise-equal parameters, compared in place.
+bool is_suffix_of(const nn::Model& suffix, const nn::Model& model,
+                  std::size_t cut) {
+  if (suffix.size() != model.size() - cut ||
+      suffix.input_shape() != model.boundary_shapes()[cut])
+    return false;
+  for (std::size_t i = 0; i < suffix.size(); ++i) {
+    // params() is non-const only because optimizers write through it.
+    auto& a = const_cast<nn::Layer&>(suffix.layer(i));
+    auto& b = const_cast<nn::Layer&>(model.layer(cut + i));
+    if (a.spec().to_string() != b.spec().to_string()) return false;
+    const auto pa = a.params();
+    const auto pb = b.params();
+    if (pa.size() != pb.size()) return false;
+    for (std::size_t j = 0; j < pa.size(); ++j)
+      if (pa[j]->shape() != pb[j]->shape() ||
+          std::memcmp(pa[j]->data().data(), pb[j]->data().data(),
+                      pa[j]->byte_size()) != 0)
+        return false;
+  }
   return true;
 }
 }  // namespace
 
-FieldSession::FieldSession(engine::RealizedStrategy realized,
+FieldSession::FieldSession(const engine::RealizedStrategy& realized,
+                           CloudExecutor* cloud,
                            latency::ComputeLatencyModel edge_device,
-                           latency::ComputeLatencyModel cloud_device,
                            net::BandwidthTrace trace, double rtt_ms,
                            double time_scale, FieldFaultConfig faults)
-    : model_(std::move(realized.model)),
-      cut_(realized.cut),
+    : prefix_(realized.model.slice(0, realized.cut)),
+      cloud_(realized.cut < realized.model.size() ? cloud : nullptr),
       edge_device_(std::move(edge_device)),
       trace_(std::move(trace)),
       rtt_ms_(rtt_ms),
@@ -45,41 +54,29 @@ FieldSession::FieldSession(engine::RealizedStrategy realized,
   // Field mode is where the link misbehaves: the flight recorder is always
   // on so a fault dump exists even when metrics collection is off.
   obs::set_flight_recording(true);
-  if (offloads()) {
-    nn::Model suffix = model_.slice(cut_, model_.size());
-    std::uint16_t port = 0;
-    if (faults_.shared_cloud != nullptr) {
-      // Multi-session mode: the shared gateway serves one model for every
-      // session, so it must be exactly this session's suffix. start() is
-      // idempotent.
-      if (!same_model(suffix, faults_.shared_cloud->model()))
-        throw std::invalid_argument(
-            "FieldSession: cloud suffix differs from the shared executor's "
-            "model");
-      port = faults_.shared_cloud->start();
-    } else {
-      cloud_ = std::make_unique<CloudExecutor>(std::move(suffix),
-                                               std::move(cloud_device));
-      port = cloud_->start();
-    }
-    cloud_up_ = true;
-    client_.connect(port, client_config());
-    client_.set_fault_injector(faults_.injector);
-  }
+  if (realized.cut == realized.model.size()) return;
+  // The executor serves one model for every session riding it, and the
+  // fallback runs that same model, so it must be exactly this suffix.
+  if (cloud_ == nullptr)
+    throw std::invalid_argument("FieldSession: offloading needs an executor");
+  if (!is_suffix_of(cloud_->model(), realized.model, realized.cut))
+    throw std::invalid_argument(
+        "FieldSession: cloud suffix differs from the executor's model");
+  connect();
 }
 
-TcpClientConfig FieldSession::client_config() const {
+void FieldSession::connect() {
   TcpClientConfig config;
   config.timeout_ms = faults_.cloud_deadline_ms;
   config.max_retries = faults_.max_retries;
   config.backoff_ms = faults_.backoff_ms;
   config.session_id = faults_.session_id;
-  return config;
-}
-
-FieldSession::~FieldSession() {
-  client_.close();
-  if (cloud_) cloud_->stop();
+  // start() returns the running executor's port, or re-binds its old one:
+  // a restarted shared gateway keeps its address, so the *other* sessions
+  // riding it reconnect inside their own retry loops without being told.
+  client_.connect(cloud_->start(), config);
+  client_.set_fault_injector(faults_.injector);
+  cloud_up_ = true;
 }
 
 obs::MetricsRegistry& FieldSession::metrics() const {
@@ -87,30 +84,18 @@ obs::MetricsRegistry& FieldSession::metrics() const {
                                     : obs::MetricsRegistry::global();
 }
 
-CloudExecutor* FieldSession::executor() const {
-  return faults_.shared_cloud != nullptr ? faults_.shared_cloud : cloud_.get();
-}
-
 void FieldSession::kill_cloud() {
-  CloudExecutor* exec = executor();
-  if (exec == nullptr || !cloud_up_) return;
+  if (cloud_ == nullptr || !cloud_up_) return;
   // Close the client first so no reply is pending on a connection the
   // draining gateway is about to shed.
   client_.close();
-  if (exec->running()) exec->stop();
+  if (cloud_->running()) cloud_->stop();
   cloud_up_ = false;
 }
 
 void FieldSession::restart_cloud() {
-  CloudExecutor* exec = executor();
-  if (exec == nullptr || cloud_up_) return;
-  // Port-stable restart: a shared gateway re-binds its old port, so the
-  // *other* sessions riding it reconnect inside their own retry loops
-  // without being told the address again.
-  const std::uint16_t port = exec->running() ? exec->port() : exec->start();
-  cloud_up_ = true;
-  client_.connect(port, client_config());
-  client_.set_fault_injector(faults_.injector);
+  if (cloud_ == nullptr || cloud_up_) return;
+  connect();
   if (obs::enabled())
     metrics().counter("cadmc.runtime.fault.cloud_restarts").add(1);
 }
@@ -122,9 +107,9 @@ FieldOutcome FieldSession::infer(const tensor::Tensor& input,
   obs::ScopedSpan frame_span("field_frame", faults_.metrics);
   FieldOutcome outcome;
   tensor::Tensor features = input;
-  if (cut_ > 0) {
+  if (!prefix_.empty()) {
     const ExecutionResult edge =
-        execute_range(model_, input, 0, cut_, edge_device_);
+        execute_range(prefix_, input, 0, prefix_.size(), edge_device_);
     outcome.edge_ms = edge.device_ms;
     features = edge.output;
   }
@@ -159,18 +144,16 @@ FieldOutcome FieldSession::infer(const tensor::Tensor& input,
         return transfer + remote.cloud_ms;
       },
       [&] {
-        // The suffix runs locally and pays edge-device prices.
+        // The executor's suffix runs locally and pays edge-device prices.
+        const nn::Model& suffix = cloud_->model();
         const ExecutionResult local =
-            execute_range(model_, features, cut_, model_.size(), edge_device_);
+            execute_range(suffix, features, 0, suffix.size(), edge_device_);
         outcome.degraded = true;
         outcome.logits = local.output;
         outcome.cloud_ms = local.device_ms;
       });
-  if (outcome.degraded) {
-    outcome.transfer_ms = wait_ms;
-  } else {
-    frame_span.set_modelled_ms(outcome.total_ms());
-  }
+  if (outcome.degraded) outcome.transfer_ms = wait_ms;
+  frame_span.set_modelled_ms(outcome.total_ms());
   return outcome;
 }
 

@@ -6,17 +6,20 @@
 // integration tests to prove the composed models the engine ships actually
 // run and agree with local execution.
 //
+// A session holds only its realized edge prefix. Its cloud half lives on a
+// CloudExecutor the caller owns, which any number of sessions may share:
+// they all read that executor's one immutable suffix, the gateway workers
+// included, so N sessions keep one copy of the suffix weights, not N + 1.
+//
 // Fault tolerance (Sec. VII-B3: the field is where the link misbehaves):
 // cloud calls run under a deadline with bounded retry, and the shared
 // OffloadRule (fault.h) books each call: its circuit breaker counts
 // consecutive cloud failures and, once open, answers inferences by running
-// the model suffix locally on the edge device (the uncompressed suffix is
-// exactly the all-edge fork the model tree keeps for dead links), letting a
-// periodic probe close the breaker when the cloud returns. A FaultInjector
-// can kill the cloud process or perturb transport frames.
+// the executor's suffix locally, at edge-device prices (the uncompressed
+// suffix is exactly the all-edge fork the model tree keeps for dead links),
+// letting a periodic probe close the breaker when the cloud returns. A
+// FaultInjector can kill the cloud process or perturb transport frames.
 #pragma once
-
-#include <memory>
 
 #include "engine/strategy.h"
 #include "net/trace.h"
@@ -45,29 +48,25 @@ struct FieldFaultConfig {
   CircuitBreakerConfig breaker;
   FaultInjector* injector = nullptr;        // optional chaos (not owned)
   obs::MetricsRegistry* metrics = nullptr;  // null = global registry
-
-  // Multi-session mode: instead of owning a private CloudExecutor, the
-  // session offloads to this shared one — N sessions then share one gateway
-  // and one immutable model. Not owned; must outlive the session.
-  // session_id must be unique per session and non-zero for
-  // duplicate-detection and per-session state to apply.
-  CloudExecutor* shared_cloud = nullptr;
+  // Unique and non-zero per session on a shared executor, for the gateway's
+  // duplicate detection and per-session state to apply.
   std::uint64_t session_id = 0;
 };
 
 class FieldSession {
  public:
-  /// Takes a weight-faithful realized strategy. Throws std::invalid_argument
-  /// when `faults.shared_cloud` serves anything but its cloud suffix (same
-  /// signature(), bitwise-equal weights). `time_scale` compresses real
-  /// sleeping (0 disables pacing entirely — transfer time is still computed,
-  /// just not slept).
-  FieldSession(engine::RealizedStrategy realized,
+  /// Takes a weight-faithful realized strategy and keeps its edge prefix
+  /// [0, cut). `cloud` (not owned; must outlive the session) serves the
+  /// suffix: it is required exactly when the strategy offloads, is started
+  /// if it is not running, and must serve the realized suffix itself (same
+  /// signature(), bitwise-equal weights); otherwise the constructor throws
+  /// std::invalid_argument. `time_scale` compresses real sleeping (0
+  /// disables pacing entirely — transfer time is still computed, just not
+  /// slept).
+  FieldSession(const engine::RealizedStrategy& realized, CloudExecutor* cloud,
                latency::ComputeLatencyModel edge_device,
-               latency::ComputeLatencyModel cloud_device,
                net::BandwidthTrace trace, double rtt_ms,
                double time_scale = 0.0, FieldFaultConfig faults = {});
-  ~FieldSession();
 
   /// Runs one inference starting at virtual time `t_virtual_ms`. Never
   /// hangs or throws on cloud failure: if the cloud is unreachable (deadline
@@ -75,12 +74,12 @@ class FieldSession {
   /// outcome is marked `degraded`.
   FieldOutcome infer(const tensor::Tensor& input, double t_virtual_ms);
 
-  bool offloads() const { return cut_ < model_.size(); }
+  bool offloads() const { return cloud_ != nullptr; }
 
   /// Simulates a cloud-process crash: the executor stops serving and
-  /// in-flight/future calls fail until restart_cloud(). In shared-cloud
-  /// mode this stops the shared gateway — every session riding it degrades,
-  /// which is exactly what a cloud-process death looks like.
+  /// in-flight/future calls fail until restart_cloud(). Every session
+  /// riding the executor degrades, which is exactly what a cloud-process
+  /// death looks like.
   void kill_cloud();
   /// Restarts the cloud executor (port-stable when possible) and reconnects
   /// the client. The breaker stays open until a probe call succeeds.
@@ -92,20 +91,18 @@ class FieldSession {
 
  private:
   obs::MetricsRegistry& metrics() const;
-  TcpClientConfig client_config() const;
-  /// The executor this session's cloud half lives on (shared or owned).
-  CloudExecutor* executor() const;
+  /// Connects the client to `cloud_`, starting it if it is not running.
+  void connect();
 
-  // Layers [0, cut_) run on the edge; [cut_, end) is the uncompressed
-  // suffix the cloud serves, which the edge also runs as the fallback.
-  nn::Model model_;
-  std::size_t cut_;
+  // The realized layers [0, cut) that run on the edge. The suffix is
+  // cloud_->model(): the gateway serves it and the fallback runs it here.
+  nn::Model prefix_;
+  CloudExecutor* cloud_;  // null when the strategy stays on the edge
   latency::ComputeLatencyModel edge_device_;
   net::BandwidthTrace trace_;
   double rtt_ms_, time_scale_;
   FieldFaultConfig faults_;
   OffloadRule rule_;
-  std::unique_ptr<CloudExecutor> cloud_;
   TcpClient client_;
   bool cloud_up_ = false;
 };

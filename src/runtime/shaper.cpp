@@ -1,10 +1,8 @@
 #include "runtime/shaper.h"
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
-#include <thread>
 
 namespace cadmc::runtime {
 
@@ -36,24 +34,6 @@ double shaped_transfer_ms(const net::BandwidthTrace& trace, double t_start_ms,
   const double bw = trace.at(trace_end);
   if (bw <= 0.0) return std::numeric_limits<double>::infinity();
   return std::max(t, t_start_ms + rtt_ms) + remaining / bw - t_start_ms;
-}
-
-TokenBucketPacer::TokenBucketPacer(const net::BandwidthTrace& trace,
-                                   double time_scale)
-    : trace_(&trace), time_scale_(time_scale) {
-  if (time_scale <= 0.0)
-    throw std::invalid_argument("TokenBucketPacer: non-positive time scale");
-}
-
-double TokenBucketPacer::pace(std::int64_t bytes, double t_virtual_ms,
-                              double rtt_ms) {
-  const double duration =
-      shaped_transfer_ms(*trace_, t_virtual_ms, bytes, rtt_ms);
-  if (!std::isfinite(duration))
-    throw std::runtime_error("TokenBucketPacer: link is dead (infinite transfer)");
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-      duration * time_scale_));
-  return duration;
 }
 
 }  // namespace cadmc::runtime

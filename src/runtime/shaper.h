@@ -1,11 +1,10 @@
-// Bandwidth shaping. Two services:
-//  * shaped_transfer_ms — virtual-time transfer: integrates a bandwidth
-//    trace's instantaneous rate from the moment a payload starts sending
-//    until every byte is delivered. This is what the field-test harness
-//    (Table V) uses: the *decision* was made from an estimate, but the
-//    *outcome* pays for every fade the link hits mid-transfer.
-//  * TokenBucketPacer — real-time pacing for the loopback TCP transport, so
-//    the field-demo example moves real bytes at trace-shaped rates.
+// Bandwidth shaping: shaped_transfer_ms is virtual-time transfer. It
+// integrates a bandwidth trace's instantaneous rate from the moment a
+// payload starts sending until every byte is delivered. This is what the
+// field-test harness (Table V) uses: the *decision* was made from an
+// estimate, but the *outcome* pays for every fade the link hits
+// mid-transfer. A FieldSession sleeps a scaled copy of the same time so
+// real bytes cross its loopback socket at trace-shaped rates.
 #pragma once
 
 #include <cstdint>
@@ -21,21 +20,5 @@ namespace cadmc::runtime {
 double shaped_transfer_ms(const net::BandwidthTrace& trace, double t_start_ms,
                           std::int64_t bytes, double rtt_ms,
                           double size_coeff = 0.18);
-
-/// Wall-clock pacer: sleeps so that successive send() calls of a payload
-/// drain at the trace bandwidth (scaled by `time_scale` to keep demos fast;
-/// time_scale = 0.1 replays the trace 10x faster).
-class TokenBucketPacer {
- public:
-  TokenBucketPacer(const net::BandwidthTrace& trace, double time_scale = 1.0);
-
-  /// Blocks (sleeps) for the shaped duration of `bytes` at virtual time
-  /// `t_virtual_ms`; returns the virtual duration in ms.
-  double pace(std::int64_t bytes, double t_virtual_ms, double rtt_ms);
-
- private:
-  const net::BandwidthTrace* trace_;
-  double time_scale_;
-};
 
 }  // namespace cadmc::runtime

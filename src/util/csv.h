@@ -20,8 +20,6 @@ class CsvWriter {
   /// Writes to a file; returns false on I/O failure.
   bool save(const std::string& path) const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -47,6 +47,11 @@ class ScopedMetrics {
   }
 };
 
+bool bitwise_equal(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(), a.byte_size()) == 0;
+}
+
 /// Loopback socket pair for exercising the frame codec without a server.
 struct SocketPair {
   int fds[2] = {-1, -1};
@@ -390,9 +395,11 @@ TEST(FieldSessionFault, SurvivesCloudKillAndRecovers) {
   faults.metrics = &registry;
 
   net::BandwidthTrace trace(100.0, std::vector<double>(100, 500.0));
-  FieldSession session(realized,
+  CloudExecutor cloud(realized.model.slice(realized.cut, realized.model.size()),
+                      latency::ComputeLatencyModel(latency::cloud_profile()));
+  cloud.start();
+  FieldSession session(realized, &cloud,
                        latency::ComputeLatencyModel(latency::phone_profile()),
-                       latency::ComputeLatencyModel(latency::cloud_profile()),
                        trace, 10.0, /*time_scale=*/0.0, faults);
   ASSERT_TRUE(session.offloads());
 
@@ -406,12 +413,24 @@ TEST(FieldSessionFault, SurvivesCloudKillAndRecovers) {
 
   session.kill_cloud();
   int degraded = 0;
+  std::vector<double> totals;
   for (int i = 0; i < 8; ++i) {
     const FieldOutcome outcome = session.infer(x, 100.0 * i);
     // No hang, no throw, and the logits still match local execution.
     EXPECT_LT(tensor::Tensor::max_abs_diff(outcome.logits, expected), 1e-5f);
+    // The fallback runs the executor's own suffix weights, so it answers
+    // exactly what the gateway answered before the kill.
+    EXPECT_TRUE(bitwise_equal(outcome.logits, healthy.logits));
     degraded += outcome.degraded;
+    totals.push_back(outcome.total_ms());
   }
+  // Degraded frames carry their modelled time, as served ones do.
+  std::vector<double> modelled;
+  for (const obs::SpanRecord& span : registry.spans())
+    if (span.name == "field_frame") modelled.push_back(span.modelled_ms);
+  ASSERT_EQ(modelled.size(), 1 + totals.size());
+  for (std::size_t i = 0; i < totals.size(); ++i)
+    EXPECT_EQ(modelled[1 + i], totals[i]) << "post-kill frame " << i;
   EXPECT_EQ(degraded, 8);  // 100% of post-kill inferences served by the edge
   EXPECT_EQ(session.breaker_state(), CircuitBreaker::State::kOpen);
   EXPECT_GE(registry.counter("cadmc.runtime.fault.edge_fallbacks").value(), 8);
@@ -449,9 +468,11 @@ TEST(FieldSessionFault, DeadLinkFallsBackWithoutNetwork) {
   net::BandwidthTrace trace(100.0, samples);
   FieldFaultConfig faults;
   faults.cloud_deadline_ms = 100.0;
-  FieldSession session(realized,
+  CloudExecutor cloud(realized.model.slice(realized.cut, realized.model.size()),
+                      latency::ComputeLatencyModel(latency::cloud_profile()));
+  cloud.start();
+  FieldSession session(realized, &cloud,
                        latency::ComputeLatencyModel(latency::phone_profile()),
-                       latency::ComputeLatencyModel(latency::cloud_profile()),
                        trace, 10.0, 0.0, faults);
   util::Rng data_rng(55);
   const auto x = tensor::Tensor::randn({1, 3, 8, 8}, data_rng, 0.3f);
@@ -630,11 +651,6 @@ TEST(DecisionEngineFault, OpenBreakerForcesAllEdgeInference) {
     EXPECT_EQ(outcome.strategy.cut, engine.base().size());
     EXPECT_TRUE(outcome.degraded);
   }
-}
-
-bool bitwise_equal(const tensor::Tensor& a, const tensor::Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data().data(), b.data().data(), a.byte_size()) == 0;
 }
 
 TEST(DecisionEngineFault, OpenBreakerRunsRealizedPrefixThenBaseSuffix) {

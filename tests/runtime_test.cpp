@@ -271,9 +271,11 @@ TEST(FieldSession, LogitsMatchLocalExecution) {
       engine::realize_strategy(base, s, registry, rng);
 
   net::BandwidthTrace trace(100.0, std::vector<double>(100, 500.0));
-  FieldSession session(realized,
+  CloudExecutor cloud(realized.model.slice(realized.cut, realized.model.size()),
+                      latency::ComputeLatencyModel(latency::cloud_profile()));
+  cloud.start();
+  FieldSession session(realized, &cloud,
                        latency::ComputeLatencyModel(latency::phone_profile()),
-                       latency::ComputeLatencyModel(latency::cloud_profile()),
                        trace, 10.0, /*time_scale=*/0.0);
   ASSERT_TRUE(session.offloads());
 
@@ -297,9 +299,8 @@ TEST(FieldSession, AllEdgeStrategySkipsNetwork) {
   engine::RealizedStrategy realized =
       engine::realize_strategy(base, s, registry, rng);
   net::BandwidthTrace trace(100.0, {100.0});
-  FieldSession session(realized,
+  FieldSession session(realized, /*cloud=*/nullptr,
                        latency::ComputeLatencyModel(latency::phone_profile()),
-                       latency::ComputeLatencyModel(latency::cloud_profile()),
                        trace, 10.0);
   EXPECT_FALSE(session.offloads());
   util::Rng data_rng(55);
@@ -308,6 +309,21 @@ TEST(FieldSession, AllEdgeStrategySkipsNetwork) {
   EXPECT_EQ(outcome.transfer_ms, 0.0);
   EXPECT_LT(tensor::Tensor::max_abs_diff(outcome.logits, base.forward(x)),
             1e-5f);
+}
+
+TEST(FieldSession, OffloadingStrategyNeedsAnExecutor) {
+  nn::Model base = nn::make_tiny_cnn(4, 8, 56);
+  Strategy s;
+  s.cut = 3;
+  s.plan.assign(base.size(), TechniqueId::kNone);
+  util::Rng rng(57);
+  compress::TechniqueRegistry registry;
+  const engine::RealizedStrategy realized =
+      engine::realize_strategy(base, s, registry, rng);
+  EXPECT_THROW(FieldSession(realized, /*cloud=*/nullptr,
+                            latency::ComputeLatencyModel(latency::phone_profile()),
+                            net::BandwidthTrace(100.0, {100.0}), 10.0),
+               std::invalid_argument);
 }
 
 TEST(DecisionEngineFacade, EndToEndTinyConfiguration) {

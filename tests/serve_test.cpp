@@ -623,17 +623,16 @@ TEST(SharedModel, FieldSessionRejectsASharedExecutorServingAnotherSuffix) {
     s.plan.assign(base.size(), TechniqueId::kNone);
     util::Rng rng(63);
     FieldFaultConfig faults;
-    faults.shared_cloud = &shared;
     faults.session_id = 1;
     return std::make_unique<FieldSession>(
-        engine::realize_strategy(base, s, techniques, rng),
+        engine::realize_strategy(base, s, techniques, rng), &shared,
         latency::ComputeLatencyModel(latency::phone_profile()),
-        latency::ComputeLatencyModel(latency::cloud_profile()),
         net::BandwidthTrace(100.0, std::vector<double>(10, 500.0)), 10.0,
         /*time_scale=*/0.0, faults);
   };
   const latency::ComputeLatencyModel cloud(latency::cloud_profile());
   CloudExecutor shared(base.slice(3, base.size()), cloud);
+  shared.start();
   EXPECT_NO_THROW(session(3, shared));
   // A different cut: the suffix has another signature.
   EXPECT_THROW(session(2, shared), std::invalid_argument);
@@ -707,12 +706,10 @@ TEST(ChaosSoak, ThirtyTwoSessionsSurviveKillsStragglersAndCorruption) {
     faults.breaker.failure_threshold = 2;
     faults.breaker.probe_interval = 2;
     faults.injector = injectors.back().get();
-    faults.shared_cloud = &shared;
     faults.session_id = static_cast<std::uint64_t>(i) + 1;
     sessions.push_back(std::make_unique<FieldSession>(
-        std::move(realized),
-        latency::ComputeLatencyModel(latency::phone_profile()),
-        latency::ComputeLatencyModel(latency::cloud_profile()), trace, 10.0,
+        realized, &shared,
+        latency::ComputeLatencyModel(latency::phone_profile()), trace, 10.0,
         /*time_scale=*/0.0, faults));
   }
   // The flight recorder's lock-free ring is deliberately racy-by-design

@@ -418,9 +418,11 @@ TEST(FlightDump, CloudKillProducesBreakerOpenDump) {
   faults.cloud_deadline_ms = 200.0;
   faults.breaker.failure_threshold = 2;
   net::BandwidthTrace trace(100.0, std::vector<double>(100, 500.0));
-  FieldSession session(realized,
+  CloudExecutor cloud(realized.model.slice(realized.cut, realized.model.size()),
+                      latency::ComputeLatencyModel(latency::cloud_profile()));
+  cloud.start();
+  FieldSession session(realized, &cloud,
                        latency::ComputeLatencyModel(latency::phone_profile()),
-                       latency::ComputeLatencyModel(latency::cloud_profile()),
                        trace, 10.0, /*time_scale=*/0.0, faults);
   ASSERT_TRUE(session.offloads());
   EXPECT_TRUE(obs::flight_recording());  // field mode forces the recorder on
