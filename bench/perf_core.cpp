@@ -487,11 +487,10 @@ PerfStats bench_span_overhead_disabled(const PerfSuiteConfig& config) {
 PerfStats bench_span_overhead_enabled(const PerfSuiteConfig& config) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
-  obs::MetricsRegistry registry;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   PerfStats stats = measure(
       "span_overhead_enabled", config.warmup, config.repetitions, [&] {
-        for (int i = 0; i < kSpanBatch; ++i)
-          obs::ScopedSpan span("bench_span", &registry);
+        for (int i = 0; i < kSpanBatch; ++i) obs::ScopedSpan span("bench_span");
         registry.reset();  // keep the span log bounded per repetition
       });
   obs::set_enabled(was_enabled);

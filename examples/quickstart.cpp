@@ -62,7 +62,7 @@ int main() {
   // 4. Observability: aggregate run report + raw JSONL event stream. The
   // spans map onto the Fig. 2 pipeline: compose (Alg. 2 walk) -> edge_exec
   // -> transfer -> cloud_exec, under one "infer" parent per call.
-  const auto& registry = engine.metrics();
+  const auto& registry = obs::MetricsRegistry::global();
   std::printf("\nRun report:\n%s",
               obs::render_report(obs::make_report(registry)).c_str());
   const char* metrics_path = "quickstart_metrics.jsonl";

@@ -1,6 +1,7 @@
 // Bandwidth traces: a fixed-interval time series of bandwidth samples, the
 // substrate for Fig. 1 ("real-world network context"), the emulation runs of
-// Table IV, and the token-bucket shaper of the field tests (Table V).
+// Table IV, and the trace shaper of the field tests (Table V,
+// runtime::shaped_transfer_ms).
 #pragma once
 
 #include <cstdint>

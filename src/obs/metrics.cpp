@@ -27,22 +27,8 @@ bool init_from_env() {
   return enabled();
 }
 
-std::vector<double> Histogram::default_bounds() {
-  return {0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
-          200.0, 500.0, 1000.0, 2000.0, 5000.0};
-}
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)) {
-  if (bounds_.empty()) bounds_ = default_bounds();
-  std::sort(bounds_.begin(), bounds_.end());
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
 void Histogram::observe(double v) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
   if (count_ == 0) {
     min_ = max_ = v;
   } else {
@@ -57,8 +43,6 @@ void Histogram::observe(double v) {
 HistogramSnapshot Histogram::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   HistogramSnapshot s;
-  s.bounds = bounds_;
-  s.counts = counts_;
   s.count = count_;
   s.sum = sum_;
   s.min = min_;
@@ -93,10 +77,9 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return gauges_[name];
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
+Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return histograms_.try_emplace(name, std::move(bounds)).first->second;
+  return histograms_[name];
 }
 
 void MetricsRegistry::record_span(SpanRecord record) {
@@ -146,19 +129,19 @@ void MetricsRegistry::reset() {
 }
 
 #ifndef CADMC_OBS_DISABLED
-void count(const std::string& name, std::int64_t n) {
+void count(std::string_view name, std::int64_t n) {
   if (!enabled()) return;
-  MetricsRegistry::global().counter(name).add(n);
+  MetricsRegistry::global().counter(std::string(name)).add(n);
 }
 
-void observe(const std::string& name, double v) {
+void observe(std::string_view name, double v) {
   if (!enabled()) return;
-  MetricsRegistry::global().histogram(name).observe(v);
+  MetricsRegistry::global().histogram(std::string(name)).observe(v);
 }
 
-void set_gauge(const std::string& name, double v) {
+void set_gauge(std::string_view name, double v) {
   if (!enabled()) return;
-  MetricsRegistry::global().gauge(name).set(v);
+  MetricsRegistry::global().gauge(std::string(name)).set(v);
 }
 #endif
 

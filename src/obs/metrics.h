@@ -1,7 +1,8 @@
-// Metrics registry — named counters, gauges and fixed-bucket histograms for
-// the whole stack (metric naming scheme: "cadmc.<area>.<name>"). A global
-// default registry serves the common case; library users that need isolation
-// can inject their own instance (e.g. runtime::EngineConfig::metrics).
+// Metrics registry — named counters, gauges and histograms for the whole
+// stack (metric naming scheme: "cadmc.<area>.<name>"). Every producer
+// records into the one process-wide registry, MetricsRegistry::global(), so
+// all spans of a frame share one causal tree. A standalone MetricsRegistry
+// is only ever a reader's input (exporters, reports, tests).
 //
 // Cost model: every instrumentation site is gated by the runtime flag
 // `obs::enabled()` (one relaxed atomic load when off) and the whole layer can
@@ -14,6 +15,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cadmc::obs {
@@ -59,8 +61,6 @@ class Gauge {
 ///  * count == 1 — every quantile equals the single observation (the sample
 ///    is the whole distribution; no interpolation happens).
 struct HistogramSnapshot {
-  std::vector<double> bounds;          // bucket upper bounds (le semantics)
-  std::vector<std::uint64_t> counts;   // bounds.size() + 1 (last = overflow)
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
@@ -70,26 +70,18 @@ struct HistogramSnapshot {
   double p99 = 0.0;
 };
 
-/// Fixed-bucket histogram. Also retains up to kMaxSamples raw observations
-/// (first-come) so snapshots can report interpolated p50/p90/p99 rather than
-/// bucket-resolution estimates; runs here are short enough that the cap is
-/// rarely hit.
+/// Count/sum/min/max over every observation, plus up to kMaxSamples raw
+/// observations (first-come) from which snapshots interpolate p50/p90/p99;
+/// runs here are short enough that the cap is rarely hit.
 class Histogram {
  public:
   static constexpr std::size_t kMaxSamples = 8192;
-
-  /// Default bounds cover the paper's millisecond scales (0.5 ms .. 5 s).
-  static std::vector<double> default_bounds();
-
-  explicit Histogram(std::vector<double> bounds);
 
   void observe(double v);
   HistogramSnapshot snapshot() const;
 
  private:
-  std::vector<double> bounds_;
   mutable std::mutex mutex_;
-  std::vector<std::uint64_t> counts_;
   std::vector<double> samples_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
@@ -123,8 +115,7 @@ class MetricsRegistry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// `bounds` is consulted only on first creation of `name`.
-  Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
+  Histogram& histogram(const std::string& name);
 
   /// Appends a closed span and folds its wall duration into the
   /// "cadmc.span.<name>" histogram. Retention is capped at kMaxSpans.
@@ -149,14 +140,17 @@ class MetricsRegistry {
 };
 
 #ifndef CADMC_OBS_DISABLED
-/// Convenience helpers against the global registry; no-ops while disabled.
-void count(const std::string& name, std::int64_t n = 1);
-void observe(const std::string& name, double v);
-void set_gauge(const std::string& name, double v);
+/// The producers' recording calls: they write the global registry while
+/// obs::enabled() and are no-ops otherwise. The name is copied into a
+/// std::string only when the call records, so a disabled call allocates
+/// nothing.
+void count(std::string_view name, std::int64_t n = 1);
+void observe(std::string_view name, double v);
+void set_gauge(std::string_view name, double v);
 #else
-inline void count(const std::string&, std::int64_t = 1) {}
-inline void observe(const std::string&, double) {}
-inline void set_gauge(const std::string&, double) {}
+inline void count(std::string_view, std::int64_t = 1) {}
+inline void observe(std::string_view, double) {}
+inline void set_gauge(std::string_view, double) {}
 #endif
 
 }  // namespace cadmc::obs

@@ -11,7 +11,6 @@ namespace cadmc::obs {
 
 SnapshotExporter::SnapshotExporter(Options options)
     : options_(std::move(options)) {
-  if (options_.registry == nullptr) options_.registry = &MetricsRegistry::global();
   if (options_.interval_ms < 1) options_.interval_ms = 1;
   out_.open(options_.path, std::ios::app);
   thread_ = std::thread([this] { run(); });
@@ -33,9 +32,10 @@ void SnapshotExporter::stop() {
 bool SnapshotExporter::write_snapshot_now() {
   // Snapshot the registry outside the I/O lock: the registry has its own
   // mutex, and holding ours during collection would stall the caller.
-  const auto counters = options_.registry->counter_values();
-  const auto gauges = options_.registry->gauge_values();
-  const auto histograms = options_.registry->histogram_values();
+  const MetricsRegistry& registry = MetricsRegistry::global();
+  const auto counters = registry.counter_values();
+  const auto gauges = registry.gauge_values();
+  const auto histograms = registry.histogram_values();
   const std::uint64_t seq =
       snapshots_.fetch_add(1, std::memory_order_relaxed) + 1;
 

@@ -1,8 +1,8 @@
 // Periodic metrics-snapshot exporter: a background thread that appends a
-// JSONL heartbeat plus the current counter/gauge/histogram values to a file
-// every interval, so a serving process (gateway, field emulator) can be
-// observed *while it runs* — `tail -f` the file, or feed it to `cadmc
-// report`. Span records are deliberately not re-dumped per tick (they are
+// JSONL heartbeat plus the global registry's counter/gauge/histogram values
+// to a file every interval, so a serving process (gateway, field emulator)
+// can be observed *while it runs* — `tail -f` the file, or feed it to
+// `cadmc report`. Span records are deliberately not re-dumped per tick (they are
 // cumulative and unbounded); the end-of-run exporters cover those.
 //
 // Enabled from the environment: CADMC_METRICS_INTERVAL_MS=<ms> turns the
@@ -29,7 +29,6 @@ class SnapshotExporter {
   struct Options {
     std::string path = "cadmc_metrics_live.jsonl";
     int interval_ms = 1000;
-    MetricsRegistry* registry = nullptr;  // global when null
   };
 
   /// Opens `options.path` for append and starts the exporter thread. The

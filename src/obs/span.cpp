@@ -27,22 +27,14 @@ std::uint64_t next_trace_id() {
 }
 
 struct LiveSpan {
-  MetricsRegistry* registry;
   std::uint64_t id;
   std::uint64_t trace_id;
   double clock_offset_ms;
 };
-// Innermost live spans of this thread; parentage is per (thread, registry)
-// so spans recorded into an injected registry do not adopt parents from the
-// global one.
+// Live spans of this thread, innermost last: the back is the parent of the
+// next span opened here, and the size is its depth.
 thread_local std::vector<LiveSpan> t_span_stack;
 thread_local RemoteContext t_remote_context;
-
-const LiveSpan* innermost_in(const MetricsRegistry* registry) {
-  for (auto it = t_span_stack.rbegin(); it != t_span_stack.rend(); ++it)
-    if (it->registry == registry) return &*it;
-  return nullptr;
-}
 }  // namespace
 
 double steady_now_ms() {
@@ -53,8 +45,8 @@ double steady_now_ms() {
 
 std::uint64_t record_external_span(const char* name, std::uint64_t trace_id,
                                    std::uint64_t parent_id, double start_ms,
-                                   double wall_ms, MetricsRegistry* registry,
-                                   int depth, FlightEventKind flight_kind) {
+                                   double wall_ms, int depth,
+                                   FlightEventKind flight_kind) {
   const bool to_metrics = enabled();
   const bool to_flight = flight_recording();
   if (!to_metrics && !to_flight) return 0;
@@ -70,11 +62,7 @@ std::uint64_t record_external_span(const char* name, std::uint64_t trace_id,
   if (to_flight)
     FlightRecorder::global().record(flight_kind, record.name.c_str(), trace_id,
                                     id, parent_id, start_ms, wall_ms);
-  if (to_metrics) {
-    MetricsRegistry* target =
-        registry != nullptr ? registry : &MetricsRegistry::global();
-    target->record_span(std::move(record));
-  }
+  if (to_metrics) MetricsRegistry::global().record_span(std::move(record));
   return id;
 }
 
@@ -91,22 +79,19 @@ OutgoingContext outgoing_context() {
   return {innermost.trace_id, innermost.id};
 }
 
-ScopedSpan::ScopedSpan(const char* name, MetricsRegistry* registry) {
+ScopedSpan::ScopedSpan(const char* name) {
   to_metrics_ = enabled();
   to_flight_ = flight_recording();
   if (!to_metrics_ && !to_flight_) return;
   active_ = true;
-  registry_ = registry != nullptr ? registry : &MetricsRegistry::global();
   name_ = name;
   id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-  int depth = 0;
-  for (const LiveSpan& s : t_span_stack)
-    if (s.registry == registry_) ++depth;
-  depth_ = depth;
-  if (const LiveSpan* parent = innermost_in(registry_)) {
-    parent_id_ = parent->id;
-    trace_id_ = parent->trace_id;
-    clock_offset_ms_ = parent->clock_offset_ms;
+  depth_ = static_cast<int>(t_span_stack.size());
+  if (!t_span_stack.empty()) {
+    const LiveSpan& parent = t_span_stack.back();
+    parent_id_ = parent.id;
+    trace_id_ = parent.trace_id;
+    clock_offset_ms_ = parent.clock_offset_ms;
   } else if (t_remote_context.trace_id != 0) {
     parent_id_ = t_remote_context.parent_span_id;
     trace_id_ = t_remote_context.trace_id;
@@ -114,7 +99,7 @@ ScopedSpan::ScopedSpan(const char* name, MetricsRegistry* registry) {
   } else {
     trace_id_ = next_trace_id();
   }
-  t_span_stack.push_back({registry_, id_, trace_id_, clock_offset_ms_});
+  t_span_stack.push_back({id_, trace_id_, clock_offset_ms_});
   start_ms_ = steady_now_ms();
 }
 
@@ -139,7 +124,8 @@ ScopedSpan::~ScopedSpan() {
   }
   if (to_flight_)
     FlightRecorder::global().record_span(record);
-  if (to_metrics_ && enabled()) registry_->record_span(std::move(record));
+  if (to_metrics_ && enabled())
+    MetricsRegistry::global().record_span(std::move(record));
 }
 
 }  // namespace cadmc::obs

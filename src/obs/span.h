@@ -26,9 +26,9 @@ namespace cadmc::obs {
 
 class ScopedSpan {
  public:
-  /// Records into `registry` (the global registry when null) on destruction.
-  /// `name` must outlive the span (string literals do).
-  explicit ScopedSpan(const char* name, MetricsRegistry* registry = nullptr);
+  /// Records into the global registry on destruction. `name` must outlive
+  /// the span (string literals do).
+  explicit ScopedSpan(const char* name);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -48,7 +48,6 @@ class ScopedSpan {
   bool active_ = false;
   bool to_metrics_ = false;  // record into the registry on destruction
   bool to_flight_ = false;   // record into the flight recorder on destruction
-  MetricsRegistry* registry_ = nullptr;
   const char* name_ = nullptr;
   std::uint64_t id_ = 0;
   std::uint64_t parent_id_ = 0;
@@ -82,7 +81,7 @@ class RemoteSpanScope {
   RemoteContext previous_;
 };
 
-/// The innermost live span of the calling thread (any registry), as a
+/// The innermost live span of the calling thread, as a
 /// context to propagate over the wire. All-zero when no span is live.
 struct OutgoingContext {
   std::uint64_t trace_id = 0;
@@ -97,17 +96,16 @@ double steady_now_ms();
 /// RAII reach — e.g. the gateway's admission-queue wait, whose start was
 /// stamped by the reactor thread and whose end is observed by the worker
 /// that dequeues the request. Allocates a fresh span id, parents the span
-/// explicitly under (`trace_id`, `parent_id`), and records into `registry`
-/// (global when null) and the flight recorder exactly like a closing
-/// ScopedSpan. `start_ms` is in the recorded timebase (caller applies any
+/// explicitly under (`trace_id`, `parent_id`), and records into the global
+/// registry and the flight recorder exactly like a closing ScopedSpan. `start_ms` is in the recorded timebase (caller applies any
 /// remote clock offset); `flight_kind` tags the flight-recorder copy (e.g.
 /// FlightEventKind::kQueue for the gateway's queue-wait spans). No-op
 /// returning 0 while both obs::enabled() and obs::flight_recording() are
 /// off; otherwise returns the span id.
 std::uint64_t record_external_span(
     const char* name, std::uint64_t trace_id, std::uint64_t parent_id,
-    double start_ms, double wall_ms, MetricsRegistry* registry = nullptr,
-    int depth = 0, FlightEventKind flight_kind = FlightEventKind::kSpan);
+    double start_ms, double wall_ms, int depth = 0,
+    FlightEventKind flight_kind = FlightEventKind::kSpan);
 
 #ifndef CADMC_OBS_DISABLED
 #define CADMC_SPAN_CONCAT2(a, b) a##b

@@ -11,8 +11,7 @@ namespace cadmc::runtime {
 DecisionEngine::DecisionEngine(nn::Model base, EngineConfig config)
     : base_(std::move(base)),
       config_(std::move(config)),
-      rule_(config_.breaker, /*deadline_ms=*/0.0, /*edge_fallback=*/true,
-            config_.metrics) {
+      rule_(config_.breaker, /*deadline_ms=*/0.0, /*edge_fallback=*/true) {
   if (config_.num_forks < 1)
     throw std::invalid_argument("DecisionEngine: num_forks < 1");
   trace_ = net::generate_trace(config_.scene.trace, config_.trace_duration_ms,
@@ -46,7 +45,7 @@ DecisionEngine::DecisionEngine(nn::Model base, EngineConfig config)
 }
 
 void DecisionEngine::train_offline() {
-  obs::ScopedSpan offline_span("train_offline", &metrics());
+  obs::ScopedSpan offline_span("train_offline");
   // Seed both searches with the DNN-surgery solution (it lies inside the
   // strategy space), so the engine never ships anything worse than the
   // fixed-partition baseline.
@@ -62,7 +61,7 @@ void DecisionEngine::train_offline() {
                           tree_config);
   search_result_ = search.run();
 
-  obs::ScopedSpan realize_span("realize_tree", &metrics());
+  obs::ScopedSpan realize_span("realize_tree");
   realized_ = tree::RealizedTree(search_result_->tree, base_);
 }
 
@@ -76,16 +75,10 @@ const tree::TreeSearchResult& DecisionEngine::search_result() const {
   return *search_result_;
 }
 
-obs::MetricsRegistry& DecisionEngine::metrics() const {
-  return config_.metrics != nullptr ? *config_.metrics
-                                    : obs::MetricsRegistry::global();
-}
-
 DecisionEngine::InferenceOutcome DecisionEngine::infer(
     const tensor::Tensor& input, double t_ms) {
   const tree::ModelTree& model_tree = tree();
-  obs::MetricsRegistry& reg = metrics();
-  obs::ScopedSpan infer_span("infer", &reg);
+  obs::ScopedSpan infer_span("infer");
   net::BandwidthEstimator estimator(trace_, kEstimatorStalenessMs,
                                     kEstimatorAlpha);
   // Alg. 2: one bandwidth measurement before each block. Inference time
@@ -94,9 +87,9 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
   InferenceOutcome outcome;
   tree::ModelTree::Composition composition;
   {
-    obs::ScopedSpan compose_span("compose", &reg);
+    obs::ScopedSpan compose_span("compose");
     composition = model_tree.compose_online([&](std::size_t block) {
-      obs::ScopedSpan estimate_span("estimate", &reg);
+      obs::ScopedSpan estimate_span("estimate");
       const double bw = estimator.estimate_at(t_cursor);
       t_cursor += 5.0 + 10.0 * static_cast<double>(block);  // measurement cadence
       return bw;
@@ -132,32 +125,30 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
   const bool offload = outcome.strategy.cut < base_.size();
   tensor::Tensor features;
   {
-    obs::ScopedSpan edge_span("edge_exec", &reg);
+    obs::ScopedSpan edge_span("edge_exec");
     edge_span.set_modelled_ms(eval.breakdown.edge_ms);
     features = path.forward_edge(input);
     if (!offload)
       features = base_.forward_range(features, suffix_begin, base_.size());
   }
   {
-    obs::ScopedSpan transfer_span("transfer", &reg);
+    obs::ScopedSpan transfer_span("transfer");
     transfer_span.set_modelled_ms(eval.breakdown.transfer_ms);
     // Local run: the feature tensor crosses no real socket; the modelled
     // uplink cost is the whole story (field.cpp pays a real transfer).
   }
   {
-    obs::ScopedSpan cloud_span("cloud_exec", &reg);
+    obs::ScopedSpan cloud_span("cloud_exec");
     cloud_span.set_modelled_ms(eval.breakdown.cloud_ms);
     outcome.logits =
         offload ? base_.forward_range(features, suffix_begin, base_.size())
                 : std::move(features);
   }
   outcome.latency_ms = eval.latency_ms;
-  if (obs::enabled()) {
-    reg.counter("cadmc.runtime.inferences").add(1);
-    if (offload) reg.counter("cadmc.runtime.offloads").add(1);
-    reg.histogram("cadmc.runtime.latency_ms").observe(outcome.latency_ms);
-    reg.gauge("cadmc.runtime.last_bandwidth").set(trace_.at(t_ms));
-  }
+  obs::count("cadmc.runtime.inferences");
+  if (offload) obs::count("cadmc.runtime.offloads");
+  obs::observe("cadmc.runtime.latency_ms", outcome.latency_ms);
+  obs::set_gauge("cadmc.runtime.last_bandwidth", trace_.at(t_ms));
   return outcome;
 }
 

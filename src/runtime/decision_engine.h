@@ -15,10 +15,6 @@
 #include "tree/realized_tree.h"
 #include "tree/tree_search.h"
 
-namespace cadmc::obs {
-class MetricsRegistry;
-}
-
 namespace cadmc::runtime {
 
 struct EngineConfig {
@@ -31,10 +27,6 @@ struct EngineConfig {
   std::uint64_t trace_seed = 0x7A2CE;
   tree::TreeSearchConfig tree_config;
   engine::RewardConfig reward_config;
-  // Observability sink for this engine's spans and runtime counters
-  // (cadmc.runtime.*); null means the global registry. Offline-search
-  // metrics (cadmc.search.*) always go to the global registry.
-  obs::MetricsRegistry* metrics = nullptr;
   // Fault tolerance: when the composed strategy offloads but the estimated
   // bandwidth at the cut is at/below kDeadLinkBandwidth, or the cloud
   // breaker is open, infer() degrades to the all-edge branch of the tree
@@ -86,10 +78,6 @@ class DecisionEngine {
   /// misses); once open, infer() composes the all-edge branch until a probe
   /// is due.
   CircuitBreaker& breaker() { return rule_.breaker(); }
-
-  /// Metrics registry this engine records into (EngineConfig::metrics or the
-  /// global default). Collection only happens while obs::enabled().
-  obs::MetricsRegistry& metrics() const;
 
  private:
   nn::Model base_;

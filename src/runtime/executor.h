@@ -3,8 +3,8 @@
 // the phone/TX2/cloud being modelled). The cloud executor serves one
 // immutable cloud half — the untouched base suffix base[cut:] — behind a
 // concurrent Gateway so features can cross a real socket in the field demo.
-// In multi-session mode N FieldSessions share one executor and its one
-// model; nothing is registered per session.
+// Any number of FieldSessions may share one executor and its one model;
+// nothing is registered per session.
 #pragma once
 
 #include <mutex>

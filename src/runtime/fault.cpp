@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/metrics.h"
 #include "obs/trace_export.h"
 #include "runtime/transport.h"
 
@@ -16,21 +17,10 @@ void validate_prob(double p, const char* what) {
     throw std::invalid_argument(std::string("FaultPlan: ") + what +
                                 " outside [0,1]");
 }
-
-/// Adds `n` to counter `name` of `metrics` (null = the global registry)
-/// while obs::enabled().
-void count(obs::MetricsRegistry* metrics, const char* name,
-           std::int64_t n = 1) {
-  if (!obs::enabled()) return;
-  (metrics != nullptr ? *metrics : obs::MetricsRegistry::global())
-      .counter(name)
-      .add(n);
-}
 }  // namespace
 
-FaultInjector::FaultInjector(FaultPlan plan, obs::MetricsRegistry* metrics)
+FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)),
-      metrics_(metrics),
       frame_rng_(plan_.seed ^ 0xF4A3E5ULL),
       crash_rng_(plan_.seed ^ 0xC4A54ULL),
       straggler_rng_(plan_.seed ^ 0x57A66ULL) {
@@ -83,8 +73,8 @@ net::BandwidthTrace FaultInjector::degrade_trace(
       samples[i] = 0.0;
   }
   if (zeroed_windows > 0)
-    count(metrics_, "cadmc.runtime.fault.blackout_windows",
-          static_cast<std::int64_t>(zeroed_windows));
+    obs::count("cadmc.runtime.fault.blackout_windows",
+               static_cast<std::int64_t>(zeroed_windows));
   return net::BandwidthTrace(dt, std::move(samples));
 }
 
@@ -92,21 +82,21 @@ FrameFault FaultInjector::next_frame_fault() {
   if (schedule_pos_ < plan_.frame_schedule.size()) {
     const FrameFault fault = plan_.frame_schedule[schedule_pos_++];
     if (fault != FrameFault::kNone)
-      count(metrics_, "cadmc.runtime.fault.scheduled_frame_faults");
+      obs::count("cadmc.runtime.fault.scheduled_frame_faults");
     return fault;
   }
   const double u = frame_rng_.uniform();
   if (u < plan_.frame_drop_prob) {
-    count(metrics_, "cadmc.runtime.fault.frame_drops");
+    obs::count("cadmc.runtime.fault.frame_drops");
     return FrameFault::kDrop;
   }
   if (u < plan_.frame_drop_prob + plan_.frame_corrupt_prob) {
-    count(metrics_, "cadmc.runtime.fault.frame_corruptions");
+    obs::count("cadmc.runtime.fault.frame_corruptions");
     return FrameFault::kCorrupt;
   }
   if (u < plan_.frame_drop_prob + plan_.frame_corrupt_prob +
               plan_.frame_truncate_prob) {
-    count(metrics_, "cadmc.runtime.fault.frame_truncations");
+    obs::count("cadmc.runtime.fault.frame_truncations");
     return FrameFault::kTruncate;
   }
   return FrameFault::kNone;
@@ -114,19 +104,18 @@ FrameFault FaultInjector::next_frame_fault() {
 
 bool FaultInjector::next_cloud_crash() {
   const bool crash = crash_rng_.bernoulli(plan_.cloud_crash_prob);
-  if (crash) count(metrics_, "cadmc.runtime.fault.cloud_crashes");
+  if (crash) obs::count("cadmc.runtime.fault.cloud_crashes");
   return crash;
 }
 
 double FaultInjector::next_straggler_factor() {
   if (!straggler_rng_.bernoulli(plan_.straggler_prob)) return 1.0;
-  count(metrics_, "cadmc.runtime.fault.stragglers");
+  obs::count("cadmc.runtime.fault.stragglers");
   return std::exp(std::abs(straggler_rng_.normal(0.0, plan_.straggler_sigma)));
 }
 
-CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config,
-                               obs::MetricsRegistry* metrics)
-    : config_(config), metrics_(metrics) {
+CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config)
+    : config_(config) {
   if (config_.failure_threshold < 1)
     throw std::invalid_argument("CircuitBreaker: failure_threshold < 1");
   if (config_.probe_interval < 1)
@@ -138,7 +127,7 @@ bool CircuitBreaker::allow_request() {
   // While open, every probe_interval-th request half-opens the breaker.
   ++open_requests_;
   if (open_requests_ % config_.probe_interval == 0) {
-    count(metrics_, "cadmc.runtime.fault.breaker_probes");
+    obs::count("cadmc.runtime.fault.breaker_probes");
     return true;
   }
   return false;
@@ -148,7 +137,7 @@ void CircuitBreaker::record_success() {
   if (state_ == State::kOpen) {
     state_ = State::kClosed;
     open_requests_ = 0;
-    count(metrics_, "cadmc.runtime.fault.breaker_closes");
+    obs::count("cadmc.runtime.fault.breaker_closes");
   }
   consecutive_failures_ = 0;
 }
@@ -159,7 +148,7 @@ void CircuitBreaker::record_failure() {
       consecutive_failures_ >= config_.failure_threshold) {
     state_ = State::kOpen;
     open_requests_ = 0;
-    count(metrics_, "cadmc.runtime.fault.breaker_opens");
+    obs::count("cadmc.runtime.fault.breaker_opens");
     // A breaker opening is the postmortem moment: flush the flight recorder
     // so the dump holds the spans and faults that led here.
     obs::flight_fault(obs::FlightEventKind::kBreaker, "breaker_open");
@@ -167,16 +156,15 @@ void CircuitBreaker::record_failure() {
 }
 
 OffloadRule::OffloadRule(CircuitBreakerConfig breaker, double deadline_ms,
-                         bool edge_fallback, obs::MetricsRegistry* metrics)
-    : breaker_(breaker, metrics),
+                         bool edge_fallback)
+    : breaker_(breaker),
       deadline_ms_(deadline_ms),
-      edge_fallback_(edge_fallback),
-      metrics_(metrics) {}
+      edge_fallback_(edge_fallback) {}
 
 double OffloadRule::offload(bool link_dead,
                             const std::function<double()>& cloud_leg,
                             const std::function<void()>& edge_leg) {
-  if (link_dead) count(metrics_, "cadmc.runtime.fault.dead_link_detected");
+  if (link_dead) obs::count("cadmc.runtime.fault.dead_link_detected");
   double wait_ms = 0.0;
   if (!link_dead && breaker_.allow_request()) {
     if (!cloud_leg) return 0.0;
@@ -194,13 +182,13 @@ double OffloadRule::offload(bool link_dead,
     // price of the failed attempt.
     breaker_.record_failure();
     ++deadline_misses_;
-    count(metrics_, "cadmc.runtime.fault.deadline_misses");
+    obs::count("cadmc.runtime.fault.deadline_misses");
     obs::flight_fault(obs::FlightEventKind::kFault, "deadline_miss");
     wait_ms = deadline_ms_;
   }
   if (edge_fallback_) {
     ++edge_fallbacks_;
-    count(metrics_, "cadmc.runtime.fault.edge_fallbacks");
+    obs::count("cadmc.runtime.fault.edge_fallbacks");
     edge_leg();
   } else {
     ++failures_;

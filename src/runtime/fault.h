@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "net/trace.h"
-#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace cadmc::runtime {
@@ -72,8 +71,7 @@ struct FaultPlan {
 /// schedule.
 class FaultInjector {
  public:
-  explicit FaultInjector(FaultPlan plan,
-                         obs::MetricsRegistry* metrics = nullptr);
+  explicit FaultInjector(FaultPlan plan);
 
   const FaultPlan& plan() const { return plan_; }
 
@@ -93,7 +91,6 @@ class FaultInjector {
 
  private:
   FaultPlan plan_;
-  obs::MetricsRegistry* metrics_ = nullptr;
   std::size_t schedule_pos_ = 0;
   util::Rng frame_rng_;
   util::Rng crash_rng_;
@@ -114,8 +111,7 @@ class CircuitBreaker {
  public:
   enum class State { kClosed, kOpen };
 
-  explicit CircuitBreaker(CircuitBreakerConfig config = {},
-                          obs::MetricsRegistry* metrics = nullptr);
+  explicit CircuitBreaker(CircuitBreakerConfig config = {});
 
   /// Should this request try the cloud? Always true while closed; while open
   /// true only for the periodic probe.
@@ -128,7 +124,6 @@ class CircuitBreaker {
 
  private:
   CircuitBreakerConfig config_;
-  obs::MetricsRegistry* metrics_ = nullptr;
   State state_ = State::kClosed;
   int consecutive_failures_ = 0;
   int open_requests_ = 0;  // requests seen since the breaker opened
@@ -149,8 +144,7 @@ class CircuitBreaker {
 class OffloadRule {
  public:
   explicit OffloadRule(CircuitBreakerConfig breaker = {},
-                       double deadline_ms = 0.0, bool edge_fallback = true,
-                       obs::MetricsRegistry* metrics = nullptr);
+                       double deadline_ms = 0.0, bool edge_fallback = true);
 
   /// Decides and books one frame's cloud leg. `cloud_leg` runs the leg and
   /// returns its time (ms). An empty `cloud_leg` only decides: the caller
@@ -170,7 +164,6 @@ class OffloadRule {
   CircuitBreaker breaker_;
   double deadline_ms_;
   bool edge_fallback_;
-  obs::MetricsRegistry* metrics_;
   int deadline_misses_ = 0, edge_fallbacks_ = 0, failures_ = 0;
 };
 

@@ -49,8 +49,7 @@ FieldSession::FieldSession(const engine::RealizedStrategy& realized,
       rtt_ms_(rtt_ms),
       time_scale_(time_scale),
       faults_(faults),
-      rule_(faults.breaker, faults.cloud_deadline_ms, /*edge_fallback=*/true,
-            faults.metrics) {
+      rule_(faults.breaker, faults.cloud_deadline_ms, /*edge_fallback=*/true) {
   // Field mode is where the link misbehaves: the flight recorder is always
   // on so a fault dump exists even when metrics collection is off.
   obs::set_flight_recording(true);
@@ -79,11 +78,6 @@ void FieldSession::connect() {
   cloud_up_ = true;
 }
 
-obs::MetricsRegistry& FieldSession::metrics() const {
-  return faults_.metrics != nullptr ? *faults_.metrics
-                                    : obs::MetricsRegistry::global();
-}
-
 void FieldSession::kill_cloud() {
   if (cloud_ == nullptr || !cloud_up_) return;
   // Close the client first so no reply is pending on a connection the
@@ -96,15 +90,14 @@ void FieldSession::kill_cloud() {
 void FieldSession::restart_cloud() {
   if (cloud_ == nullptr || cloud_up_) return;
   connect();
-  if (obs::enabled())
-    metrics().counter("cadmc.runtime.fault.cloud_restarts").add(1);
+  obs::count("cadmc.runtime.fault.cloud_restarts");
 }
 
 FieldOutcome FieldSession::infer(const tensor::Tensor& input,
                                  double t_virtual_ms) {
   // Root of the per-frame causal tree: edge compute -> transfer ->
   // cloud compute (server-side spans join via the frame's trace context).
-  obs::ScopedSpan frame_span("field_frame", faults_.metrics);
+  obs::ScopedSpan frame_span("field_frame");
   FieldOutcome outcome;
   tensor::Tensor features = input;
   if (!prefix_.empty()) {
@@ -129,7 +122,7 @@ FieldOutcome FieldSession::infer(const tensor::Tensor& input,
         // Dead link: the payload would never arrive; don't sleep on it.
         if (!std::isfinite(transfer)) return transfer;
         {
-          obs::ScopedSpan transfer_span("transfer", faults_.metrics);
+          obs::ScopedSpan transfer_span("transfer");
           transfer_span.set_modelled_ms(transfer);
           if (time_scale_ > 0.0) {
             std::this_thread::sleep_for(

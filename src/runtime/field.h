@@ -46,8 +46,7 @@ struct FieldFaultConfig {
   int max_retries = 1;             // transport-level retries per call
   double backoff_ms = 5.0;
   CircuitBreakerConfig breaker;
-  FaultInjector* injector = nullptr;        // optional chaos (not owned)
-  obs::MetricsRegistry* metrics = nullptr;  // null = global registry
+  FaultInjector* injector = nullptr;  // optional chaos (not owned)
   // Unique and non-zero per session on a shared executor, for the gateway's
   // duplicate detection and per-session state to apply.
   std::uint64_t session_id = 0;
@@ -90,7 +89,6 @@ class FieldSession {
   }
 
  private:
-  obs::MetricsRegistry& metrics() const;
   /// Connects the client to `cloud_`, starting it if it is not running.
   void connect();
 

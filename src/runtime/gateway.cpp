@@ -58,9 +58,7 @@ struct Gateway::Connection {
 
 /// Per-session gateway state (keyed by FrameMeta::session_id != 0).
 struct Gateway::Session {
-  explicit Session(const CircuitBreakerConfig& config,
-                   obs::MetricsRegistry* metrics)
-      : breaker(config, metrics) {}
+  explicit Session(const CircuitBreakerConfig& config) : breaker(config) {}
 
   double last_active_ms = 0.0;
   // Duplicate short-circuit: the reply target of each inflight sequence
@@ -100,11 +98,6 @@ Gateway::Gateway(GatewayHandler handler, GatewayConfig config)
 }
 
 Gateway::~Gateway() { stop(); }
-
-obs::MetricsRegistry& Gateway::metrics() const {
-  return config_.metrics != nullptr ? *config_.metrics
-                                    : obs::MetricsRegistry::global();
-}
 
 std::size_t Gateway::session_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -229,7 +222,7 @@ void Gateway::stop() {
         }
       }
       n_shed_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::enabled()) metrics().counter("cadmc.gateway.shed").add(1);
+      obs::count("cadmc.gateway.shed");
       replies.push_back(
           {std::move(target), FrameKind::kBusy, {}, w.session_id, w.sequence});
     }
@@ -286,8 +279,7 @@ void Gateway::reactor() {
             // kernel-level variant of this — SYN-queue overflow on the old
             // backlog-4 listener — was invisible; this one is counted.)
             n_accept_overflow_.fetch_add(1, std::memory_order_relaxed);
-            if (obs::enabled())
-              metrics().counter("cadmc.gateway.accept_overflow").add(1);
+            obs::count("cadmc.gateway.accept_overflow");
             ::close(client);
             continue;
           }
@@ -302,8 +294,7 @@ void Gateway::reactor() {
             connections_[client] = std::move(conn);
           }
           n_accepted_.fetch_add(1, std::memory_order_relaxed);
-          if (obs::enabled())
-            metrics().counter("cadmc.gateway.accepted").add(1);
+          obs::count("cadmc.gateway.accepted");
         }
         continue;
       }
@@ -388,15 +379,8 @@ void Gateway::admit(const std::shared_ptr<Connection>& conn, Blob payload,
     std::lock_guard<std::mutex> lock(mutex_);
     Session* session = nullptr;
     if (meta.session_id != 0) {
-      auto it = sessions_.find(meta.session_id);
-      if (it == sessions_.end())
-        it = sessions_
-                 .emplace(std::piecewise_construct,
-                          std::forward_as_tuple(meta.session_id),
-                          std::forward_as_tuple(config_.breaker,
-                                                config_.metrics))
-                 .first;
-      session = &it->second;
+      session = &sessions_.try_emplace(meta.session_id, config_.breaker)
+                     .first->second;
       session->last_active_ms = now;
     }
     // Duplicate short-circuit: the same (session, sequence) is a retry of a
@@ -408,8 +392,7 @@ void Gateway::admit(const std::shared_ptr<Connection>& conn, Blob payload,
       if (inflight != session->inflight.end()) {
         inflight->second = conn;
         n_duplicates_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::enabled())
-          metrics().counter("cadmc.gateway.duplicates").add(1);
+        obs::count("cadmc.gateway.duplicates");
         return;
       }
       if (session->has_cached && session->cached_sequence == meta.sequence) {
@@ -417,8 +400,7 @@ void Gateway::admit(const std::shared_ptr<Connection>& conn, Blob payload,
         reject = session->cached_kind;
         cached = session->cached_payload;
         n_duplicates_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::enabled())
-          metrics().counter("cadmc.gateway.duplicates").add(1);
+        obs::count("cadmc.gateway.duplicates");
       }
     }
     if (!reply_cached) {
@@ -463,7 +445,7 @@ void Gateway::admit(const std::shared_ptr<Connection>& conn, Blob payload,
       update_gauges_locked();
     } else if (reject == FrameKind::kBusy) {
       n_shed_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::enabled()) metrics().counter("cadmc.gateway.shed").add(1);
+      obs::count("cadmc.gateway.shed");
     }
   }
   if (shed_cause != nullptr && obs::flight_recording()) {
@@ -512,7 +494,7 @@ std::vector<Gateway::Work> Gateway::shed_expired_locked(double now) {
       }
     }
     n_expired_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled()) metrics().counter("cadmc.gateway.expired").add(1);
+    obs::count("cadmc.gateway.expired");
     w.conn = std::move(target);
   }
   if (!shed.empty()) update_gauges_locked();
@@ -562,7 +544,7 @@ void Gateway::worker_loop() {
           }
         }
         n_expired_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::enabled()) metrics().counter("cadmc.gateway.expired").add(1);
+        obs::count("cadmc.gateway.expired");
         update_gauges_locked();
         if (queue_.empty() && executing_ == 0) drained_cv_.notify_all();
         lock.unlock();
@@ -570,10 +552,7 @@ void Gateway::worker_loop() {
         continue;
       }
       ++executing_;
-      if (obs::enabled())
-        metrics()
-            .histogram("cadmc.gateway.queue_ms")
-            .observe(now - w.enqueue_ms);
+      obs::observe("cadmc.gateway.queue_ms", now - w.enqueue_ms);
       update_gauges_locked();
     }
     // The remote clock offset is anchored at *receive* time, so the queue
@@ -586,8 +565,7 @@ void Gateway::worker_loop() {
       const double wait_obs_ms = obs::steady_now_ms() - w.recv_obs_ms;
       obs::record_external_span("gateway_queue", w.trace.trace_id,
                                 w.trace.span_id, w.trace.clock_ms, wait_obs_ms,
-                                &metrics(), /*depth=*/0,
-                                obs::FlightEventKind::kQueue);
+                                /*depth=*/0, obs::FlightEventKind::kQueue);
     }
     Blob out;
     bool ok = true;
@@ -628,10 +606,7 @@ void Gateway::worker_loop() {
         }
       }
       (ok ? n_completed_ : n_errors_).fetch_add(1, std::memory_order_relaxed);
-      if (obs::enabled())
-        metrics()
-            .counter(ok ? "cadmc.gateway.completed" : "cadmc.gateway.errors")
-            .add(1);
+      obs::count(ok ? "cadmc.gateway.completed" : "cadmc.gateway.errors");
       update_gauges_locked();
       if (queue_.empty() && executing_ == 0) drained_cv_.notify_all();
     }
@@ -676,16 +651,12 @@ void Gateway::respond(const std::shared_ptr<Connection>& conn, FrameKind kind,
 }
 
 void Gateway::update_gauges_locked() {
-  if (!obs::enabled()) return;
-  metrics()
-      .gauge("cadmc.gateway.queue_depth")
-      .set(static_cast<double>(queue_.size()));
-  metrics()
-      .gauge("cadmc.gateway.inflight")
-      .set(static_cast<double>(queue_.size()) + executing_);
-  metrics()
-      .gauge("cadmc.gateway.sessions")
-      .set(static_cast<double>(sessions_.size()));
+  obs::set_gauge("cadmc.gateway.queue_depth",
+                 static_cast<double>(queue_.size()));
+  obs::set_gauge("cadmc.gateway.inflight",
+                 static_cast<double>(queue_.size()) + executing_);
+  obs::set_gauge("cadmc.gateway.sessions",
+                 static_cast<double>(sessions_.size()));
 }
 
 }  // namespace cadmc::runtime

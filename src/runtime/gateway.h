@@ -44,7 +44,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "runtime/fault.h"
 #include "runtime/transport.h"
 
@@ -100,7 +99,6 @@ struct GatewayConfig {
   double idle_session_ms = 30'000.0;  // reap session state after this idle
   double drain_ms = 1'000.0;          // graceful-drain budget in stop()
   CircuitBreakerConfig breaker;       // per-session handler breaker
-  obs::MetricsRegistry* metrics = nullptr;  // null = global registry
 };
 
 class Gateway {
@@ -154,7 +152,6 @@ class Gateway {
   /// the shed work items for the caller to answer outside the lock.
   std::vector<Work> shed_expired_locked(double now_ms);
   void update_gauges_locked();
-  obs::MetricsRegistry& metrics() const;
 
   GatewayHandler handler_;
   GatewayConfig config_;

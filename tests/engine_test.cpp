@@ -4,6 +4,9 @@
 // Alg. 1 branch search beating undirected baselines on the same budget.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "engine/accuracy_model.h"
 
 #include "nn/loss.h"
@@ -316,47 +319,73 @@ TEST_F(StrategyFixture, CloudSuffixDecreasesWithCut) {
 }
 
 TEST(Observability, DecisionEngineInferPopulatesSpansAndCounters) {
-  // The facade's pipeline spans land in the injected registry; offline-search
-  // metrics (cadmc.search.*) always go to the global one.
-  obs::MetricsRegistry::global().reset();
+  // Every producer records into the global registry, so one infer() is one
+  // causal trace: the pipeline spans and the kernel spans under them.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.reset();
   obs::set_enabled(true);
 
-  obs::MetricsRegistry local;
   runtime::EngineConfig config;
   config.scene = net::scene_by_name("4G indoor static");
   config.base_accuracy = 0.84;
   config.trace_duration_ms = 20'000.0;
   config.tree_config.episodes = 5;
   config.tree_config.branch_config.episodes = 8;
-  config.metrics = &local;
   runtime::DecisionEngine engine(nn::make_alexnet(), std::move(config));
-  EXPECT_EQ(&engine.metrics(), &local);
   engine.train_offline();
+
+  const obs::RunReport offline = obs::make_report(registry);
+  EXPECT_EQ(offline.profile.by_name.at("train_offline").depth, 0);
+  EXPECT_GT(offline.profile.by_name.at("realize_tree").depth, 0);
+  EXPECT_EQ(offline.counters.at("cadmc.search.episodes"), 5);
+  EXPECT_GE(offline.counters.at("cadmc.search.branch_episodes"), 8);
+  registry.reset();
 
   util::Rng rng(61);
   const auto x = tensor::Tensor::randn({1, 3, 32, 32}, rng, 0.3f);
   (void)engine.infer(x, 0.0);
   obs::set_enabled(false);
 
-  const obs::RunReport report = obs::make_report(local);
+  const obs::RunReport report = obs::make_report(registry);
   const auto& spans = report.profile.by_name;
-  for (const char* name :
-       {"train_offline", "realize_tree", "infer", "compose", "estimate",
-        "edge_exec", "transfer", "cloud_exec"})
+  for (const char* name : {"infer", "compose", "estimate", "edge_exec",
+                           "transfer", "cloud_exec"})
     EXPECT_EQ(spans.count(name), 1u) << "missing span: " << name;
   // Paths are realized once, offline; inference only runs them.
   EXPECT_EQ(spans.count("realize"), 0u);
-  EXPECT_EQ(spans.at("train_offline").depth, 0);
-  EXPECT_GT(spans.at("realize_tree").depth, 0);
   EXPECT_EQ(spans.at("infer").depth, 0);
   EXPECT_GT(spans.at("compose").depth, 0);
   EXPECT_EQ(report.counters.at("cadmc.runtime.inferences"), 1);
   EXPECT_EQ(report.histograms.at("cadmc.runtime.latency_ms").count, 1u);
 
-  const auto global = obs::MetricsRegistry::global().counter_values();
-  EXPECT_EQ(global.at("cadmc.search.episodes"), 5);
-  EXPECT_GE(global.at("cadmc.search.branch_episodes"), 8);
-  obs::MetricsRegistry::global().reset();
+  // One trace: every span shares the infer root's trace id, and each
+  // kernel span nests under the stage that ran it.
+  const std::vector<obs::SpanRecord> records = registry.spans();
+  std::map<std::uint64_t, const obs::SpanRecord*> by_id;
+  const obs::SpanRecord* root = nullptr;
+  for (const obs::SpanRecord& s : records) {
+    by_id[s.id] = &s;
+    if (s.name == "infer") root = &s;
+  }
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->parent_id, 0u);
+  std::size_t kernel_spans = 0;
+  for (const obs::SpanRecord& s : records) {
+    EXPECT_EQ(s.trace_id, root->trace_id) << s.name;
+    if (s.name.rfind("kernel_", 0) != 0) continue;
+    ++kernel_spans;
+    std::string stage;
+    for (auto it = by_id.find(s.parent_id); it != by_id.end();
+         it = by_id.find(it->second->parent_id))
+      if (it->second->name == "edge_exec" ||
+          it->second->name == "cloud_exec") {
+        stage = it->second->name;
+        break;
+      }
+    EXPECT_FALSE(stage.empty()) << s.name << " outside edge_exec/cloud_exec";
+  }
+  EXPECT_GT(kernel_spans, 0u);
+  registry.reset();
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "latency/device_profile.h"
@@ -376,7 +378,7 @@ TEST(EstimatorFault, FlooredDuringBlackout) {
 /// breaker must open, and after a restart a probe must close it again.
 TEST(FieldSessionFault, SurvivesCloudKillAndRecovers) {
   ScopedMetrics scoped;
-  obs::MetricsRegistry registry;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
 
   nn::Model base = nn::make_tiny_cnn(4, 8, 50);
   Strategy s;
@@ -392,7 +394,6 @@ TEST(FieldSessionFault, SurvivesCloudKillAndRecovers) {
   faults.max_retries = 0;
   faults.breaker.failure_threshold = 2;
   faults.breaker.probe_interval = 3;
-  faults.metrics = &registry;
 
   net::BandwidthTrace trace(100.0, std::vector<double>(100, 500.0));
   CloudExecutor cloud(realized.model.slice(realized.cut, realized.model.size()),
@@ -449,6 +450,72 @@ TEST(FieldSessionFault, SurvivesCloudKillAndRecovers) {
   const FieldOutcome recovered = session.infer(x, 2000.0);
   EXPECT_FALSE(recovered.degraded);
   EXPECT_LT(tensor::Tensor::max_abs_diff(recovered.logits, expected), 1e-5f);
+}
+
+/// Names of the spans recorded since the last reset, after checking that
+/// they form one trace rooted at a single field_frame.
+std::multiset<std::string> one_frame_trace() {
+  const std::vector<obs::SpanRecord> spans =
+      obs::MetricsRegistry::global().spans();
+  const obs::SpanRecord* root = nullptr;
+  for (const obs::SpanRecord& s : spans)
+    if (s.name == "field_frame") {
+      EXPECT_EQ(root, nullptr) << "more than one field_frame";
+      root = &s;
+    }
+  std::multiset<std::string> names;
+  if (root == nullptr) {
+    ADD_FAILURE() << "no field_frame span";
+    return names;
+  }
+  EXPECT_EQ(root->parent_id, 0u);
+  for (const obs::SpanRecord& s : spans) {
+    EXPECT_EQ(s.trace_id, root->trace_id) << s.name;
+    names.insert(s.name);
+  }
+  return names;
+}
+
+/// A field frame is one causal trace on both sides of the socket: the edge
+/// prefix, the shaped transfer, the client call and the server's handling
+/// of it when healthy, and the local fallback when the cloud is gone.
+TEST(FieldSessionFault, FrameIsOneTrace) {
+  ScopedMetrics scoped;
+  nn::Model base = nn::make_tiny_cnn(4, 8, 57);
+  Strategy s;
+  s.cut = 3;
+  s.plan.assign(base.size(), TechniqueId::kNone);
+  util::Rng rng(58);
+  compress::TechniqueRegistry techniques;
+  engine::RealizedStrategy realized =
+      engine::realize_strategy(base, s, techniques, rng);
+
+  FieldFaultConfig faults;
+  faults.cloud_deadline_ms = 200.0;
+  faults.max_retries = 0;
+  net::BandwidthTrace trace(100.0, std::vector<double>(100, 500.0));
+  CloudExecutor cloud(realized.model.slice(realized.cut, realized.model.size()),
+                      latency::ComputeLatencyModel(latency::cloud_profile()));
+  FieldSession session(realized, &cloud,
+                       latency::ComputeLatencyModel(latency::phone_profile()),
+                       trace, 10.0, /*time_scale=*/0.0, faults);
+  util::Rng data_rng(59);
+  const auto x = tensor::Tensor::randn({1, 3, 8, 8}, data_rng, 0.3f);
+
+  obs::MetricsRegistry::global().reset();
+  ASSERT_FALSE(session.infer(x, 0.0).degraded);
+  const std::multiset<std::string> healthy = one_frame_trace();
+  for (const char* name :
+       {"exec_range", "transfer", "cloud_call", "cloud_handle"})
+    EXPECT_GE(healthy.count(name), 1u) << "healthy frame lacks " << name;
+
+  session.kill_cloud();
+  obs::MetricsRegistry::global().reset();
+  ASSERT_TRUE(session.infer(x, 100.0).degraded);
+  const std::multiset<std::string> degraded = one_frame_trace();
+  // The edge prefix and the local fallback each run one exec_range.
+  EXPECT_EQ(degraded.count("exec_range"), 2u);
+  EXPECT_EQ(degraded.count("cloud_handle"), 0u);
 }
 
 TEST(FieldSessionFault, DeadLinkFallsBackWithoutNetwork) {

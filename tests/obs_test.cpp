@@ -47,6 +47,14 @@ class EnabledGuard {
   bool prev_;
 };
 
+/// The global registry, emptied for a test and again after it: producers
+/// (ScopedSpan included) always record there.
+struct FreshGlobal {
+  FreshGlobal() { MetricsRegistry::global().reset(); }
+  ~FreshGlobal() { MetricsRegistry::global().reset(); }
+  MetricsRegistry& reg = MetricsRegistry::global();
+};
+
 TEST(Counter, AddAndReset) {
   MetricsRegistry reg;
   reg.counter("cadmc.test.hits").add(1);
@@ -76,17 +84,11 @@ TEST(Gauge, LastWriteWins) {
   EXPECT_DOUBLE_EQ(reg.gauge("cadmc.test.bw").value(), -1.25);
 }
 
-TEST(Histogram, BucketCountsSumMinMax) {
+TEST(Histogram, CountSumMinMax) {
   MetricsRegistry reg;
-  Histogram& h = reg.histogram("cadmc.test.lat", {1.0, 10.0, 100.0});
+  Histogram& h = reg.histogram("cadmc.test.lat");
   for (double v : {0.5, 0.9, 5.0, 50.0, 500.0}) h.observe(v);
   const HistogramSnapshot s = h.snapshot();
-  ASSERT_EQ(s.bounds.size(), 3u);
-  ASSERT_EQ(s.counts.size(), 4u);
-  EXPECT_EQ(s.counts[0], 2u);  // <= 1
-  EXPECT_EQ(s.counts[1], 1u);  // <= 10
-  EXPECT_EQ(s.counts[2], 1u);  // <= 100
-  EXPECT_EQ(s.counts[3], 1u);  // overflow
   EXPECT_EQ(s.count, 5u);
   EXPECT_DOUBLE_EQ(s.sum, 556.4);
   EXPECT_DOUBLE_EQ(s.min, 0.5);
@@ -157,10 +159,11 @@ std::size_t csv_row_fields(const std::string& text, std::size_t& pos) {
 
 TEST(CsvEscape, HostileMetricNamesKeepReportCsvRectangular) {
   EnabledGuard guard(true);
-  MetricsRegistry reg;
+  FreshGlobal fresh;
+  MetricsRegistry& reg = fresh.reg;
   reg.counter("evil,\"counter\"").add(3);
   reg.histogram("rows\nof\nlies").observe(1.0);
-  { ScopedSpan span("conv,3x3", &reg); }
+  { ScopedSpan span("conv,3x3"); }
   const std::string csv = report_csv(make_report(reg));
 
   // The hostile names survive as single quoted fields...
@@ -175,20 +178,14 @@ TEST(CsvEscape, HostileMetricNamesKeepReportCsvRectangular) {
     EXPECT_EQ(csv_row_fields(csv, pos), header_fields);
 }
 
-TEST(Histogram, DefaultBoundsAreSorted) {
-  const auto bounds = Histogram::default_bounds();
-  ASSERT_GE(bounds.size(), 2u);
-  for (std::size_t i = 1; i < bounds.size(); ++i)
-    EXPECT_LT(bounds[i - 1], bounds[i]);
-}
-
 TEST(Span, NestingRecordsParentChildAndDepth) {
   EnabledGuard guard(true);
-  MetricsRegistry reg;
+  FreshGlobal fresh;
+  MetricsRegistry& reg = fresh.reg;
   {
-    ScopedSpan outer("outer", &reg);
+    ScopedSpan outer("outer");
     {
-      ScopedSpan inner("inner", &reg);
+      ScopedSpan inner("inner");
       inner.set_modelled_ms(12.5);
     }
   }
@@ -207,23 +204,12 @@ TEST(Span, NestingRecordsParentChildAndDepth) {
   EXPECT_EQ(reg.histogram("cadmc.span.inner").snapshot().count, 1u);
 }
 
-TEST(Span, SeparateRegistriesDoNotAdoptForeignParents) {
-  EnabledGuard guard(true);
-  MetricsRegistry a, b;
-  {
-    ScopedSpan outer("outer", &a);
-    ScopedSpan other("other", &b);
-  }
-  ASSERT_EQ(b.spans().size(), 1u);
-  EXPECT_EQ(b.spans()[0].parent_id, 0u);
-  EXPECT_EQ(b.spans()[0].depth, 0);
-}
-
 TEST(Span, DisabledIsInert) {
   EnabledGuard guard(false);
-  MetricsRegistry reg;
+  FreshGlobal fresh;
+  MetricsRegistry& reg = fresh.reg;
   {
-    ScopedSpan span("ghost", &reg);
+    ScopedSpan span("ghost");
     EXPECT_FALSE(span.active());
   }
   EXPECT_TRUE(reg.spans().empty());
@@ -247,6 +233,19 @@ TEST(Helpers, GatedByEnabledFlag) {
   }
   EXPECT_EQ(MetricsRegistry::global().counter("cadmc.test.gated").value(), 3);
   MetricsRegistry::global().reset();
+}
+
+TEST(Helpers, DisabledCallsAllocateNothing) {
+  // Producers call the helpers unguarded, so a disabled call must not turn
+  // its name (longer than any small-string buffer here) into a std::string.
+  EnabledGuard off(false);
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; ++i) {
+    count("cadmc.test.a_counter_name_past_the_sso_buffer");
+    observe("cadmc.test.a_histogram_name_past_the_sso_buffer", 1.0);
+    set_gauge("cadmc.test.a_gauge_name_past_the_sso_buffer", 1.0);
+  }
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
 }
 
 TEST(Export, JsonlRoundTrip) {
@@ -327,11 +326,12 @@ TEST(Export, ExportJsonlWritesFile) {
 
 TEST(Export, RenderReportMentionsEveryMetric) {
   EnabledGuard guard(true);
-  MetricsRegistry reg;
+  FreshGlobal fresh;
+  MetricsRegistry& reg = fresh.reg;
   reg.counter("cadmc.area.hits").add(2);
   reg.gauge("cadmc.area.level").set(0.5);
   reg.histogram("cadmc.area.ms").observe(1.0);
-  { ScopedSpan span("stagename", &reg); }
+  { ScopedSpan span("stagename"); }
   const std::string text = render_report(make_report(reg));
   EXPECT_NE(text.find("cadmc.area.hits"), std::string::npos);
   EXPECT_NE(text.find("cadmc.area.level"), std::string::npos);
@@ -373,11 +373,12 @@ TEST(Span, DisabledSpanCostsNoAllocationOrBookkeeping) {
 
 TEST(Registry, ResetDropsEverything) {
   EnabledGuard guard(true);
-  MetricsRegistry reg;
+  FreshGlobal fresh;
+  MetricsRegistry& reg = fresh.reg;
   reg.counter("a").add(1);
   reg.gauge("b").set(1.0);
   reg.histogram("c").observe(1.0);
-  { ScopedSpan span("d", &reg); }
+  { ScopedSpan span("d"); }
   reg.reset();
   EXPECT_TRUE(reg.counter_values().empty());
   EXPECT_TRUE(reg.gauge_values().empty());

@@ -251,7 +251,7 @@ int cmd_emulate(const Flags& flags) {
   plan.outage_rate_per_s = outage_rate;
   plan.outage_mean_ms = std::stod(flag_or(flags, "outage-ms", "800"));
   plan.seed = std::stoull(flag_or(flags, "fault-seed", "64023"));
-  runtime::FaultInjector injector(plan, nullptr);
+  runtime::FaultInjector injector(plan);
 
   runtime::RunnerConfig rc;
   rc.mode = field ? runtime::TimingMode::kField : runtime::TimingMode::kEstimated;
