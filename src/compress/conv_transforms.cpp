@@ -106,7 +106,7 @@ bool FilterPruneTransform::applicable(const nn::Model& model,
     if (as_plain_conv(model, i) != nullptr) return true;
     const std::string type = l.spec().type;
     if (type == "relu" || type == "relu6" || type == "dropout" ||
-        type == "maxpool" || type == "avgpool")
+        type == "maxpool")
       continue;
     return false;
   }

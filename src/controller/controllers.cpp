@@ -13,11 +13,11 @@ int LayerEmbedder::type_bucket(const std::string& type) {
   if (type == "res_bneck" || type == "res_basic") return 4;
   if (type == "fc" || type == "fc_q8") return 5;
   if (type == "fc_svd" || type == "fc_ksvd") return 6;
-  if (type == "maxpool" || type == "avgpool") return 7;
+  if (type == "maxpool") return 7;
   if (type == "gap") return 8;
   if (type == "relu" || type == "relu6") return 9;
   if (type == "flatten") return 10;
-  return 11;  // dropout, bn, anything else
+  return 11;  // dropout, anything else
 }
 
 Tensor LayerEmbedder::embed(const nn::Model& model, double bandwidth_mbps) {

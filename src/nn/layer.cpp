@@ -21,6 +21,4 @@ std::int64_t Layer::param_count() {
   return n;
 }
 
-std::unique_ptr<Layer> clone_layer(const Layer& layer) { return layer.clone(); }
-
 }  // namespace cadmc::nn

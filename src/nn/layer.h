@@ -41,7 +41,7 @@ class Layer {
   virtual Tensor forward(const Tensor& input) const = 0;
 
   /// Training: the same kernels as forward(), plus whatever backward() needs
-  /// is cached. Dropout and BatchNorm compute the training-mode function.
+  /// is cached. Dropout computes the training-mode function.
   virtual Tensor forward_train(const Tensor& input) = 0;
 
   /// Propagates gradients; accumulates parameter gradients internally.
@@ -62,7 +62,7 @@ class Layer {
   virtual Shape output_shape(const Shape& in) const = 0;
 
   /// Per-sample multiply-accumulate operations (Eqns. 4-5). Layers the paper
-  /// measures as negligible (pooling, batch-norm, dropout) return 0.
+  /// measures as negligible (pooling, dropout) return 0.
   virtual std::int64_t macc(const Shape& in) const {
     (void)in;
     return 0;
@@ -75,7 +75,5 @@ class Layer {
   Layer(const Layer&) = default;
   Layer& operator=(const Layer&) = default;
 };
-
-std::unique_ptr<Layer> clone_layer(const Layer& layer);
 
 }  // namespace cadmc::nn

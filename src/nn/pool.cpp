@@ -54,45 +54,6 @@ std::unique_ptr<Layer> MaxPool2d::clone() const {
   return std::make_unique<MaxPool2d>(*this);
 }
 
-AvgPool2d::AvgPool2d(int kernel, int stride) : kernel_(kernel), stride_(stride) {
-  if (kernel <= 0 || stride <= 0)
-    throw std::invalid_argument("AvgPool2d: invalid hyper-parameters");
-}
-
-Tensor AvgPool2d::forward(const Tensor& input) const {
-  return tensor::avgpool2d(input, kernel_, stride_);
-}
-
-Tensor AvgPool2d::forward_train(const Tensor& input) {
-  cached_shape_ = input.shape();
-  return forward(input);
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  if (cached_shape_.empty())
-    throw std::logic_error(
-        "AvgPool2d::backward: no cached shape — call forward_train before "
-        "backward");
-  return tensor::avgpool2d_backward(std::exchange(cached_shape_, {}), kernel_,
-                                    stride_, grad_out);
-}
-
-LayerSpec AvgPool2d::spec() const {
-  return LayerSpec{"avgpool", kernel_, stride_, 0, 0};
-}
-
-Shape AvgPool2d::output_shape(const Shape& in) const {
-  if (in.size() != 3) throw std::invalid_argument("AvgPool2d: expected {c,h,w}");
-  const int ho = tensor::conv_out_size(in[1], kernel_, stride_, 0);
-  const int wo = tensor::conv_out_size(in[2], kernel_, stride_, 0);
-  if (ho <= 0 || wo <= 0) throw std::invalid_argument("AvgPool2d: empty output");
-  return {in[0], ho, wo};
-}
-
-std::unique_ptr<Layer> AvgPool2d::clone() const {
-  return std::make_unique<AvgPool2d>(*this);
-}
-
 Tensor GlobalAvgPool::forward(const Tensor& input) const {
   return tensor::global_avgpool(input);
 }

@@ -1,5 +1,5 @@
-// Pooling layers: max, average and global-average (the F3 replacement for
-// FC heads in Table II). Pooling MACCs are negligible per the paper's
+// Pooling layers: max and global-average (the F3 replacement for FC heads
+// in Table II). Pooling MACCs are negligible per the paper's
 // measurements, so macc() stays 0.
 //
 // Backward needs only the input *shape* (plus, for max pooling, the argmax
@@ -34,23 +34,6 @@ class MaxPool2d : public Layer {
   int kernel_, stride_;
   Shape cached_shape_;  // set by forward_train; empty until then
   std::vector<std::int64_t> cached_argmax_;
-};
-
-class AvgPool2d : public Layer {
- public:
-  AvgPool2d(int kernel, int stride);
-
-  Tensor forward(const Tensor& input) const override;
-  Tensor forward_train(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_out) override;
-
-  LayerSpec spec() const override;
-  Shape output_shape(const Shape& in) const override;
-  std::unique_ptr<Layer> clone() const override;
-
- private:
-  int kernel_, stride_;
-  Shape cached_shape_;  // set by forward_train; empty until then
 };
 
 /// [N,C,H,W] -> [N,C]; replaces FC heads under the F3 transform.

@@ -70,9 +70,9 @@ struct HistogramSnapshot {
   double p99 = 0.0;
 };
 
-/// Count/sum/min/max over every observation, plus up to kMaxSamples raw
-/// observations (first-come) from which snapshots interpolate p50/p90/p99;
-/// runs here are short enough that the cap is rarely hit.
+/// Count/sum/min/max over every observation. p50/p90/p99 are interpolated
+/// from the first kMaxSamples observations only: later ones move count,
+/// sum, min and max but never the quantiles.
 class Histogram {
  public:
   static constexpr std::size_t kMaxSamples = 8192;
@@ -103,7 +103,8 @@ struct SpanRecord {
 };
 
 /// Thread-safe named-metric registry. Metric objects are created on first
-/// use and live as long as the registry; returned references stay valid.
+/// use; a returned reference stays valid until reset() or the registry's
+/// destruction, whichever comes first.
 class MetricsRegistry {
  public:
   /// Process-wide default instance.
@@ -127,7 +128,8 @@ class MetricsRegistry {
   std::map<std::string, double> gauge_values() const;
   std::map<std::string, HistogramSnapshot> histogram_values() const;
 
-  /// Drops every metric and retained span.
+  /// Drops every metric and retained span. Erases the metric objects, so
+  /// every reference counter()/gauge()/histogram() returned dangles.
   void reset();
 
  private:

@@ -6,7 +6,7 @@
 //    any thread count; this is the repo-wide test contract.
 //  * kFast — explicitly vectorized fp32 kernels (AVX2/FMA today, NEON
 //    later). Validated against the reference kernels by tolerance
-//    (tensor/compare.h) instead of bit-equality, but still invariant to
+//    (tests/compare.h) instead of bit-equality, but still invariant to
 //    thread count: every output element is produced by exactly one task in
 //    a fixed operand order, only the accumulator width changes.
 //
@@ -60,8 +60,7 @@ KernelMode requested_kernel_mode();
 KernelMode kernel_mode();
 
 /// Called by ops whose only implementation is the deterministic one when a
-/// fast-mode run reaches them (softmax/loss kernels, batchnorm, the
-/// avgpool2d backward scatter): increments the
+/// fast-mode run reaches them (the softmax/loss kernels): increments the
 /// `cadmc.kernel.fast_fallbacks` counter (when metrics are enabled) and
 /// logs a once-per-process warning naming the first such op, so profile
 /// runs can't silently mix modes. Ops whose fast path is bitwise-identical

@@ -679,7 +679,6 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
   return grads;
 }
 
-// Pooling, activation, loss, batchnorm, and optimizer kernels live in
-// ops_framework.cpp.
+// Pooling, activation, loss and optimizer kernels live in ops_framework.cpp.
 
 }  // namespace cadmc::tensor

@@ -1,7 +1,6 @@
 // Dense tensor kernels: matrix multiplication, 2-D (grouped) convolution with
-// full backward passes, pooling, ReLU-family activations, batch
-// normalization, softmax / cross-entropy / distillation losses, and the SGD
-// parameter update.
+// full backward passes, pooling, ReLU-family activations, softmax /
+// cross-entropy / distillation losses, and the SGD parameter update.
 //
 // The matmul family and conv2d/conv2d_backward are cache-blocked and
 // thread-parallel: they route through one register-blocked GEMM micro-kernel
@@ -27,7 +26,7 @@
 //
 // A second kernel mode exists (tensor/kernel_mode.h): `fast` swaps the
 // double accumulators for AVX2/FMA fp32 vector kernels, validated against
-// tensor::reference by tolerance (tensor/compare.h) instead of
+// tensor::reference by tolerance (tests/compare.h) instead of
 // bit-equality. The mode is resolved once per op entry and task ownership
 // is unchanged, so fast results are still bit-identical across thread
 // counts — only the deterministic-vs-reference bitwise guarantee is traded
@@ -39,10 +38,10 @@
 //    path (when one exists) is bitwise-identical to the deterministic one.
 //  * Vectorized ops (avgpool2d, global_avgpool, sgd_update): the fast path
 //    accumulates/updates in fp32 FMA and carries the tolerance contract.
-//  * Deterministic-only ops (softmax/loss kernels, batchnorm,
-//    avgpool2d_backward): fast mode runs the deterministic implementation
-//    and records a once-per-process fast-fallback warning plus the
-//    cadmc.kernel.fast_fallbacks counter (tensor/kernel_mode.h).
+//  * Deterministic-only ops (softmax/loss kernels): fast mode runs the
+//    deterministic implementation and records a once-per-process
+//    fast-fallback warning plus the cadmc.kernel.fast_fallbacks counter
+//    (tensor/kernel_mode.h).
 //
 // The paper's latency numbers still come from the analytic model in
 // src/latency, not from wall clock of these kernels — but these kernels are
@@ -110,8 +109,6 @@ Tensor maxpool2d_backward(const Shape& input_shape,
 
 /// Average pooling over kernel x kernel windows (windows fully in-bounds).
 Tensor avgpool2d(const Tensor& input, int kernel, int stride);
-Tensor avgpool2d_backward(const Shape& input_shape, int kernel, int stride,
-                          const Tensor& grad_out);
 
 /// Global average pooling: [N,C,H,W] -> [N,C].
 Tensor global_avgpool(const Tensor& input);
@@ -151,34 +148,6 @@ RowLossResult kd_softmax_rows(const Tensor& student_logits,
                               const Tensor& teacher_logits,
                               double temperature);
 
-/// Training-mode 2-D batch normalization over [N,C,H,W]: per-channel batch
-/// mean/var (double accumulation, (b,y,x) ascending), normalized
-/// activations cached for backward, gamma*norm + beta output.
-struct BatchNorm2dFwd {
-  Tensor output;
-  Tensor norm;                  // (x - mean) * inv_std, cached for backward
-  std::vector<float> mean, var; // per-channel batch statistics
-  std::vector<float> inv_std;   // 1/sqrt(var + eps), rounded to float
-};
-BatchNorm2dFwd batchnorm2d_train(const Tensor& input, const Tensor& gamma,
-                                 const Tensor& beta, float eps);
-
-/// Inference-mode batchnorm using running statistics.
-Tensor batchnorm2d_infer(const Tensor& input, const Tensor& gamma,
-                         const Tensor& beta, const Tensor& running_mean,
-                         const Tensor& running_var, float eps);
-
-/// Backward of batchnorm2d_train. `norm` and `inv_std` come from the
-/// forward result; gamma/beta grads are returned (not accumulated).
-struct BatchNorm2dGrads {
-  Tensor input;
-  Tensor gamma;
-  Tensor beta;
-};
-BatchNorm2dGrads batchnorm2d_backward(const Tensor& grad_out,
-                                      const Tensor& norm, const Tensor& gamma,
-                                      const std::vector<float>& inv_std);
-
 /// Fused SGD parameter update, one raw-pointer sweep per tensor:
 ///   g' = grad[j] + weight_decay * param[j]
 ///   velocity[j] = momentum * velocity[j] + g'   (when velocity is non-empty)
@@ -210,8 +179,6 @@ Tensor maxpool2d_backward(const Shape& input_shape,
                           const std::vector<std::int64_t>& argmax,
                           const Tensor& grad_out);
 Tensor avgpool2d(const Tensor& input, int kernel, int stride);
-Tensor avgpool2d_backward(const Shape& input_shape, int kernel, int stride,
-                          const Tensor& grad_out);
 Tensor global_avgpool(const Tensor& input);
 Tensor global_avgpool_backward(const Shape& input_shape,
                                const Tensor& grad_out);
@@ -224,14 +191,6 @@ RowLossResult softmax_xent_rows(const Tensor& logits,
 RowLossResult kd_softmax_rows(const Tensor& student_logits,
                               const Tensor& teacher_logits,
                               double temperature);
-BatchNorm2dFwd batchnorm2d_train(const Tensor& input, const Tensor& gamma,
-                                 const Tensor& beta, float eps);
-Tensor batchnorm2d_infer(const Tensor& input, const Tensor& gamma,
-                         const Tensor& beta, const Tensor& running_mean,
-                         const Tensor& running_var, float eps);
-BatchNorm2dGrads batchnorm2d_backward(const Tensor& grad_out,
-                                      const Tensor& norm, const Tensor& gamma,
-                                      const std::vector<float>& inv_std);
 void sgd_update(std::span<float> param, std::span<const float> grad,
                 std::span<float> velocity, float lr, float momentum,
                 float weight_decay);

@@ -1,6 +1,5 @@
 // Blocked, thread-parallel framework ops: pooling, ReLU activations,
-// softmax/cross-entropy/distillation losses, batch normalization, and the
-// fused SGD update. These are the non-GEMM stages of the distillation
+// softmax/cross-entropy/distillation losses, and the fused SGD update. These are the non-GEMM stages of the distillation
 // training loop — after PR 9 vectorized the conv/GEMM kernels they became
 // the top serial bottleneck in `cadmc profile`, so they now run on the same
 // kernel infrastructure as the conv family (ops.cpp):
@@ -12,16 +11,14 @@
 //  * kernel_mode() == kFast routes avgpool/global-avgpool rows, relu sweeps
 //    and the SGD update to the fp32 vector kernels (ops_avx2.cpp) under the
 //    tolerance contract. Maxpool and relu have no accumulation, so their
-//    vector paths are bitwise-identical anyway; the loss and batchnorm
-//    kernels (and the avgpool backward scatter) are deterministic-only and
-//    record note_fast_fallback() so fast-mode profiles can't silently mix
-//    modes.
+//    vector paths are bitwise-identical anyway; the loss kernels are
+//    deterministic-only and record note_fast_fallback() so fast-mode
+//    profiles can't silently mix modes.
 //  * Large temporaries come from the per-thread ScratchArena (softened
 //    probability rows, per-row loss subtotals) instead of per-call heap
 //    allocations; gradients are written straight into their result tensors.
 //  * CADMC_SPAN markers (kernel_pool / kernel_relu / kernel_loss /
-//    kernel_batchnorm / kernel_sgd_step) let `cadmc profile` attribute each
-//    stage.
+//    kernel_sgd_step) let `cadmc profile` attribute each stage.
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -181,44 +178,6 @@ Tensor avgpool2d(const Tensor& input, int kernel, int stride) {
       }
   });
   return out;
-}
-
-Tensor avgpool2d_backward(const Shape& input_shape, int kernel, int stride,
-                          const Tensor& grad_out) {
-  CADMC_SPAN("kernel_pool");
-  if (grad_out.rank() != 4 || input_shape.size() != 4)
-    throw std::invalid_argument("avgpool2d_backward: expected [N,C,H,W]");
-  if (fast_mode()) note_fast_fallback("avgpool2d_backward");
-  Tensor grad_in(input_shape);
-  const int h = input_shape[2], w = input_shape[3];
-  const int ho = grad_out.dim(2), wo = grad_out.dim(3);
-  const float inv = 1.0f / static_cast<float>(kernel * kernel);
-  float* gi = grad_in.data().data();
-  const float* go = grad_out.data().data();
-  const std::int64_t hw = static_cast<std::int64_t>(h) * w;
-  const std::int64_t how = static_cast<std::int64_t>(ho) * wo;
-  const std::size_t planes =
-      static_cast<std::size_t>(grad_out.dim(0)) * grad_out.dim(1);
-  // Overlapping windows (kernel > stride) scatter several adds into one
-  // input cell; plane tasks keep the scatter order (oy, ox, ky, kx)
-  // ascending within each disjoint plane, matching the reference bitwise.
-  const bool parallel =
-      planes > 1 && static_cast<std::int64_t>(planes) * how * kernel * kernel >=
-                        kParallelMinMacc;
-  util::parallel_for_if(parallel, planes, [&](std::size_t t) {
-    float* __restrict gp = gi + static_cast<std::int64_t>(t) * hw;
-    const float* __restrict gop = go + static_cast<std::int64_t>(t) * how;
-    for (int oy = 0; oy < ho; ++oy)
-      for (int ox = 0; ox < wo; ++ox) {
-        const float g = gop[static_cast<std::ptrdiff_t>(oy) * wo + ox] * inv;
-        float* __restrict w0 =
-            gp + static_cast<std::int64_t>(oy) * stride * w + ox * stride;
-        for (int ky = 0; ky < kernel; ++ky)
-          for (int kx = 0; kx < kernel; ++kx)
-            w0[static_cast<std::ptrdiff_t>(ky) * w + kx] += g;
-      }
-  });
-  return grad_in;
 }
 
 Tensor global_avgpool(const Tensor& input) {
@@ -457,157 +416,6 @@ RowLossResult kd_softmax_rows(const Tensor& student_logits,
   for (int i = 0; i < n; ++i) loss += row_loss[static_cast<std::size_t>(i)];
   result.loss = loss * temperature * temperature / n;
   return result;
-}
-
-BatchNorm2dFwd batchnorm2d_train(const Tensor& input, const Tensor& gamma,
-                                 const Tensor& beta, float eps) {
-  CADMC_SPAN("kernel_batchnorm");
-  if (input.rank() != 4)
-    throw std::invalid_argument("batchnorm2d_train: expected [N,C,H,W]");
-  const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
-            w = input.dim(3);
-  if (gamma.numel() != c || beta.numel() != c)
-    throw std::invalid_argument("batchnorm2d_train: gamma/beta size mismatch");
-  const std::int64_t per_channel = static_cast<std::int64_t>(n) * h * w;
-  if (fast_mode()) note_fast_fallback("batchnorm2d_train");
-  BatchNorm2dFwd fwd;
-  fwd.output = Tensor(input.shape());
-  fwd.norm = Tensor(input.shape());
-  fwd.mean.assign(static_cast<std::size_t>(c), 0.0f);
-  fwd.var.assign(static_cast<std::size_t>(c), 0.0f);
-  fwd.inv_std.assign(static_cast<std::size_t>(c), 0.0f);
-  const float* in = input.data().data();
-  const float* ga = gamma.data().data();
-  const float* be = beta.data().data();
-  float* op = fwd.output.data().data();
-  float* np = fwd.norm.data().data();
-  const std::int64_t hw = static_cast<std::int64_t>(h) * w;
-  const std::int64_t cstride = static_cast<std::int64_t>(c) * hw;
-  const bool parallel = c > 1 && input.numel() * 2 >= kParallelMinMacc;
-  util::parallel_for_if(parallel, static_cast<std::size_t>(c),
-                        [&](std::size_t ch) {
-    double mean = 0.0;
-    for (int b = 0; b < n; ++b) {
-      const float* __restrict pl = in + b * cstride + ch * hw;
-      for (std::int64_t i = 0; i < hw; ++i) mean += pl[i];
-    }
-    mean /= static_cast<double>(per_channel);
-    double var = 0.0;
-    for (int b = 0; b < n; ++b) {
-      const float* __restrict pl = in + b * cstride + ch * hw;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        const double d = pl[i] - mean;
-        var += d * d;
-      }
-    }
-    var /= static_cast<double>(per_channel);
-    const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps));
-    fwd.mean[ch] = static_cast<float>(mean);
-    fwd.var[ch] = static_cast<float>(var);
-    fwd.inv_std[ch] = inv_std;
-    const float mf = static_cast<float>(mean);
-    const float gf = ga[ch], bf = be[ch];
-    for (int b = 0; b < n; ++b) {
-      const float* __restrict pl = in + b * cstride + ch * hw;
-      float* __restrict no = np + b * cstride + ch * hw;
-      float* __restrict oo = op + b * cstride + ch * hw;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        const float norm = (pl[i] - mf) * inv_std;
-        no[i] = norm;
-        oo[i] = gf * norm + bf;
-      }
-    }
-  });
-  return fwd;
-}
-
-Tensor batchnorm2d_infer(const Tensor& input, const Tensor& gamma,
-                         const Tensor& beta, const Tensor& running_mean,
-                         const Tensor& running_var, float eps) {
-  CADMC_SPAN("kernel_batchnorm");
-  if (input.rank() != 4)
-    throw std::invalid_argument("batchnorm2d_infer: expected [N,C,H,W]");
-  const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
-            w = input.dim(3);
-  if (fast_mode()) note_fast_fallback("batchnorm2d_infer");
-  Tensor out(input.shape());
-  const float* in = input.data().data();
-  const float* ga = gamma.data().data();
-  const float* be = beta.data().data();
-  const float* rm = running_mean.data().data();
-  const float* rv = running_var.data().data();
-  float* op = out.data().data();
-  const std::int64_t hw = static_cast<std::int64_t>(h) * w;
-  const std::int64_t cstride = static_cast<std::int64_t>(c) * hw;
-  const bool parallel = c > 1 && input.numel() >= kParallelMinMacc;
-  util::parallel_for_if(parallel, static_cast<std::size_t>(c),
-                        [&](std::size_t ch) {
-    const float inv_std = 1.0f / std::sqrt(rv[ch] + eps);
-    const float gf = ga[ch], bf = be[ch], mf = rm[ch];
-    for (int b = 0; b < n; ++b) {
-      const float* __restrict pl = in + b * cstride + ch * hw;
-      float* __restrict oo = op + b * cstride + ch * hw;
-      for (std::int64_t i = 0; i < hw; ++i)
-        oo[i] = gf * (pl[i] - mf) * inv_std + bf;
-    }
-  });
-  return out;
-}
-
-BatchNorm2dGrads batchnorm2d_backward(const Tensor& grad_out,
-                                      const Tensor& norm, const Tensor& gamma,
-                                      const std::vector<float>& inv_std) {
-  CADMC_SPAN("kernel_batchnorm");
-  if (grad_out.rank() != 4)
-    throw std::invalid_argument("batchnorm2d_backward: expected [N,C,H,W]");
-  const int n = grad_out.dim(0), c = grad_out.dim(1), h = grad_out.dim(2),
-            w = grad_out.dim(3);
-  if (norm.numel() != grad_out.numel() ||
-      inv_std.size() != static_cast<std::size_t>(c))
-    throw std::invalid_argument("batchnorm2d_backward: cache mismatch");
-  const double m = static_cast<double>(n) * h * w;
-  if (fast_mode()) note_fast_fallback("batchnorm2d_backward");
-  BatchNorm2dGrads grads;
-  grads.input = Tensor(grad_out.shape());
-  grads.gamma = Tensor({c});
-  grads.beta = Tensor({c});
-  const float* go = grad_out.data().data();
-  const float* np = norm.data().data();
-  const float* ga = gamma.data().data();
-  float* gi = grads.input.data().data();
-  float* gg = grads.gamma.data().data();
-  float* gb = grads.beta.data().data();
-  const std::int64_t hw = static_cast<std::int64_t>(h) * w;
-  const std::int64_t cstride = static_cast<std::int64_t>(c) * hw;
-  const bool parallel = c > 1 && grad_out.numel() * 2 >= kParallelMinMacc;
-  util::parallel_for_if(parallel, static_cast<std::size_t>(c),
-                        [&](std::size_t ch) {
-    double sum_dy = 0.0, sum_dy_norm = 0.0;
-    for (int b = 0; b < n; ++b) {
-      const float* __restrict gp = go + b * cstride + ch * hw;
-      const float* __restrict nm = np + b * cstride + ch * hw;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        const double dy = gp[i];
-        sum_dy += dy;
-        sum_dy_norm += dy * nm[i];
-      }
-    }
-    gg[ch] = static_cast<float>(sum_dy_norm);
-    gb[ch] = static_cast<float>(sum_dy);
-    const double g = ga[ch];
-    const double is = inv_std[ch];
-    for (int b = 0; b < n; ++b) {
-      const float* __restrict gp = go + b * cstride + ch * hw;
-      const float* __restrict nm = np + b * cstride + ch * hw;
-      float* __restrict gip = gi + b * cstride + ch * hw;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        const double dy = gp[i];
-        gip[i] = static_cast<float>(
-            g * is * (dy - sum_dy / m - nm[i] * sum_dy_norm / m));
-      }
-    }
-  });
-  return grads;
 }
 
 void sgd_update(std::span<float> param, std::span<const float> grad,

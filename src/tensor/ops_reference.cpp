@@ -24,14 +24,10 @@
 //                     rounding, so every mode is bitwise-identical here.
 //   avgpool2d         double sum over (ky, kx) ascending, rounded to float
 //                     once, then multiplied by the float 1/(k*k).
-//   avgpool backward  scatter of grad*inv over (oy, ox, ky, kx) ascending
-//                     within each (b, c) plane (float adds).
 //   softmax family    per row: float max scan (j ascending), double
 //                     denominator sum (j ascending), each probability
 //                     rounded to float independently. Loss terms are per-row
 //                     double subtotals summed in row order.
-//   batchnorm         per channel: double mean/var/backward sums over
-//                     (b, y, x) ascending; normalization in float.
 //   sgd_update        per element: g' = g + wd*p; v = m*v + g'; p -= lr*v —
 //                     separate float ops (the TU builds with
 //                     -ffp-contract=off, so nothing fuses).
@@ -274,23 +270,6 @@ Tensor avgpool2d(const Tensor& input, int kernel, int stride) {
   return out;
 }
 
-Tensor avgpool2d_backward(const Shape& input_shape, int kernel, int stride,
-                          const Tensor& grad_out) {
-  Tensor grad_in(input_shape);
-  const int ho = grad_out.dim(2), wo = grad_out.dim(3);
-  const float inv = 1.0f / static_cast<float>(kernel * kernel);
-  for (int b = 0; b < grad_out.dim(0); ++b)
-    for (int ch = 0; ch < grad_out.dim(1); ++ch)
-      for (int oy = 0; oy < ho; ++oy)
-        for (int ox = 0; ox < wo; ++ox) {
-          const float g = grad_out(b, ch, oy, ox) * inv;
-          for (int ky = 0; ky < kernel; ++ky)
-            for (int kx = 0; kx < kernel; ++kx)
-              grad_in(b, ch, oy * stride + ky, ox * stride + kx) += g;
-        }
-  return grad_in;
-}
-
 Tensor global_avgpool(const Tensor& input) {
   if (input.rank() != 4)
     throw std::invalid_argument("global_avgpool: expected [N,C,H,W]");
@@ -445,109 +424,6 @@ RowLossResult kd_softmax_rows(const Tensor& student_logits,
   }
   result.loss = loss * temperature * temperature / n;
   return result;
-}
-
-BatchNorm2dFwd batchnorm2d_train(const Tensor& input, const Tensor& gamma,
-                                 const Tensor& beta, float eps) {
-  if (input.rank() != 4)
-    throw std::invalid_argument("batchnorm2d_train: expected [N,C,H,W]");
-  const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
-            w = input.dim(3);
-  if (gamma.numel() != c || beta.numel() != c)
-    throw std::invalid_argument("batchnorm2d_train: gamma/beta size mismatch");
-  const std::int64_t per_channel = static_cast<std::int64_t>(n) * h * w;
-  BatchNorm2dFwd fwd;
-  fwd.output = Tensor(input.shape());
-  fwd.norm = Tensor(input.shape());
-  fwd.mean.assign(static_cast<std::size_t>(c), 0.0f);
-  fwd.var.assign(static_cast<std::size_t>(c), 0.0f);
-  fwd.inv_std.assign(static_cast<std::size_t>(c), 0.0f);
-  for (int ch = 0; ch < c; ++ch) {
-    double mean = 0.0;
-    for (int b = 0; b < n; ++b)
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) mean += input(b, ch, y, x);
-    mean /= static_cast<double>(per_channel);
-    double var = 0.0;
-    for (int b = 0; b < n; ++b)
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) {
-          const double d = input(b, ch, y, x) - mean;
-          var += d * d;
-        }
-    var /= static_cast<double>(per_channel);
-    const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps));
-    fwd.mean[static_cast<std::size_t>(ch)] = static_cast<float>(mean);
-    fwd.var[static_cast<std::size_t>(ch)] = static_cast<float>(var);
-    fwd.inv_std[static_cast<std::size_t>(ch)] = inv_std;
-    for (int b = 0; b < n; ++b)
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) {
-          const float norm =
-              (input(b, ch, y, x) - static_cast<float>(mean)) * inv_std;
-          fwd.norm(b, ch, y, x) = norm;
-          fwd.output(b, ch, y, x) = gamma.at(ch) * norm + beta.at(ch);
-        }
-  }
-  return fwd;
-}
-
-Tensor batchnorm2d_infer(const Tensor& input, const Tensor& gamma,
-                         const Tensor& beta, const Tensor& running_mean,
-                         const Tensor& running_var, float eps) {
-  if (input.rank() != 4)
-    throw std::invalid_argument("batchnorm2d_infer: expected [N,C,H,W]");
-  const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
-            w = input.dim(3);
-  Tensor out(input.shape());
-  for (int ch = 0; ch < c; ++ch) {
-    const float inv_std = 1.0f / std::sqrt(running_var.at(ch) + eps);
-    for (int b = 0; b < n; ++b)
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x)
-          out(b, ch, y, x) =
-              gamma.at(ch) * (input(b, ch, y, x) - running_mean.at(ch)) *
-                  inv_std +
-              beta.at(ch);
-  }
-  return out;
-}
-
-BatchNorm2dGrads batchnorm2d_backward(const Tensor& grad_out,
-                                      const Tensor& norm, const Tensor& gamma,
-                                      const std::vector<float>& inv_std) {
-  if (grad_out.rank() != 4)
-    throw std::invalid_argument("batchnorm2d_backward: expected [N,C,H,W]");
-  const int n = grad_out.dim(0), c = grad_out.dim(1), h = grad_out.dim(2),
-            w = grad_out.dim(3);
-  const double m = static_cast<double>(n) * h * w;
-  BatchNorm2dGrads grads;
-  grads.input = Tensor(grad_out.shape());
-  grads.gamma = Tensor({c});
-  grads.beta = Tensor({c});
-  for (int ch = 0; ch < c; ++ch) {
-    double sum_dy = 0.0, sum_dy_norm = 0.0;
-    for (int b = 0; b < n; ++b)
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) {
-          const double dy = grad_out(b, ch, y, x);
-          sum_dy += dy;
-          sum_dy_norm += dy * norm(b, ch, y, x);
-        }
-    grads.gamma.at(ch) = static_cast<float>(sum_dy_norm);
-    grads.beta.at(ch) = static_cast<float>(sum_dy);
-    const double g = gamma.at(ch);
-    const double is = inv_std[static_cast<std::size_t>(ch)];
-    for (int b = 0; b < n; ++b)
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) {
-          const double dy = grad_out(b, ch, y, x);
-          const double nm = norm(b, ch, y, x);
-          grads.input(b, ch, y, x) = static_cast<float>(
-              g * is * (dy - sum_dy / m - nm * sum_dy_norm / m));
-        }
-  }
-  return grads;
 }
 
 void sgd_update(std::span<float> param, std::span<const float> grad,

@@ -6,7 +6,7 @@
 //
 // Contract (weaker than the deterministic kernels, still strict):
 //  * fp32 accumulation with 8-lane FMA; validated against tensor::reference
-//    by tolerance (tensor/compare.h), not bitwise.
+//    by tolerance (tests/compare.h), not bitwise.
 //  * Every output element is still produced by exactly one caller task in a
 //    fixed operand order, so results are bit-identical across thread counts
 //    and across repeated runs on the same machine — only the deterministic

@@ -80,6 +80,9 @@ ModelTree decode_tree(const nn::Model& base, const std::string& text) {
     if (parts.size() < 3 || parts[0] != "node")
       throw std::runtime_error("decode_tree: malformed node line");
     const std::string& path = parts[1];
+    // An empty path would address the virtual root, whose partitioning
+    // cut would clear every child.
+    if (path.empty()) throw std::runtime_error("decode_tree: empty node path");
     const std::size_t cut_local = std::stoul(parts[2]);
     const std::string plan_digits = parts.size() >= 4 ? parts[3] : "";
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 namespace cadmc::util {
 
@@ -61,44 +62,6 @@ LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
   for (std::size_t i = 0; i < xs.size(); ++i) pred[i] = fit.predict(xs[i]);
   fit.r2 = r_squared(ys, pred);
   return fit;
-}
-
-std::vector<double> fit_multilinear(const std::vector<std::vector<double>>& xs,
-                                    std::span<const double> ys, double ridge) {
-  assert(!xs.empty() && xs.size() == ys.size());
-  const std::size_t dim = xs.front().size() + 1;  // + bias column
-  // Build normal equations A w = b with A = X^T X + ridge I, b = X^T y.
-  std::vector<std::vector<double>> a(dim, std::vector<double>(dim, 0.0));
-  std::vector<double> b(dim, 0.0);
-  for (std::size_t r = 0; r < xs.size(); ++r) {
-    std::vector<double> row = xs[r];
-    row.push_back(1.0);
-    for (std::size_t i = 0; i < dim; ++i) {
-      b[i] += row[i] * ys[r];
-      for (std::size_t j = 0; j < dim; ++j) a[i][j] += row[i] * row[j];
-    }
-  }
-  for (std::size_t i = 0; i < dim; ++i) a[i][i] += ridge;
-  // Gaussian elimination with partial pivoting.
-  for (std::size_t col = 0; col < dim; ++col) {
-    std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < dim; ++r)
-      if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;
-    std::swap(a[col], a[pivot]);
-    std::swap(b[col], b[pivot]);
-    const double diag = a[col][col];
-    if (std::fabs(diag) < 1e-30) continue;
-    for (std::size_t r = 0; r < dim; ++r) {
-      if (r == col) continue;
-      const double factor = a[r][col] / diag;
-      for (std::size_t c = col; c < dim; ++c) a[r][c] -= factor * a[col][c];
-      b[r] -= factor * b[col];
-    }
-  }
-  std::vector<double> w(dim, 0.0);
-  for (std::size_t i = 0; i < dim; ++i)
-    w[i] = std::fabs(a[i][i]) > 1e-30 ? b[i] / a[i][i] : 0.0;
-  return w;  // weights..., bias
 }
 
 double r_squared(std::span<const double> y_true,

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace cadmc::util {
 
@@ -57,12 +56,6 @@ struct LinearFit {
 /// Fits y = slope * x + intercept by OLS. Precondition: xs.size() == ys.size()
 /// and xs.size() >= 2.
 LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys);
-
-/// Multiple linear regression y = w . x + b via normal equations with
-/// Tikhonov damping for stability. Returns weights (size = dim) then bias.
-std::vector<double> fit_multilinear(const std::vector<std::vector<double>>& xs,
-                                    std::span<const double> ys,
-                                    double ridge = 1e-9);
 
 /// R^2 of predictions vs observations.
 double r_squared(std::span<const double> y_true, std::span<const double> y_pred);

@@ -9,7 +9,7 @@
 // runs this binary under ASan/UBSan and TSan.
 //
 // The vector fast mode (tensor/kernel_mode.h) carries a weaker numeric
-// contract — tolerance vs the same references via tensor/compare.h — but the
+// contract — tolerance vs the same references via compare.h — but the
 // same structural one: bitwise invariance to thread count. Every bitwise
 // parity test pins deterministic mode explicitly so the suite stays green
 // when CI exports CADMC_KERNEL_MODE=fast for the whole kernel label.
@@ -25,8 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include "compare.h"
 #include "obs/metrics.h"
-#include "tensor/compare.h"
 #include "tensor/kernel_mode.h"
 #include "tensor/ops.h"
 #include "tensor/scratch.h"
@@ -489,7 +489,7 @@ TEST(FastKernels, ThreadCountInvariance) {
   expect_bit_identical(back1.bias, back4.bias, "fast dbias threads 1 vs 4");
 }
 
-// --- Framework ops: pooling, activations, loss, batchnorm, SGD --------------
+// --- Framework ops: pooling, activations, loss, SGD -------------------------
 
 struct PoolCase {
   int n, c, h, w, kernel, stride;
@@ -507,17 +507,6 @@ const PoolCase kPoolCases[] = {
     {1, 2, 12, 12, 3, 1},  // wo = 10 >= 8: vector row main loop + tail
     {2, 4, 16, 16, 2, 2},  // large enough to fan out
 };
-
-void expect_bits_equal_floats(const std::vector<float>& a,
-                              const std::vector<float>& b, const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    std::uint32_t ba, bb;
-    std::memcpy(&ba, &a[i], 4);
-    std::memcpy(&bb, &b[i], 4);
-    EXPECT_EQ(ba, bb) << what << " element " << i;
-  }
-}
 
 TEST(KernelParity, PoolingFamilyRandomized) {
   ModeGuard mode(KernelMode::kDeterministic);
@@ -538,11 +527,6 @@ TEST(KernelParity, PoolingFamilyRandomized) {
     expect_bit_identical(avgpool2d(input, p.kernel, p.stride),
                          reference::avgpool2d(input, p.kernel, p.stride),
                          "avgpool2d");
-    expect_bit_identical(
-        avgpool2d_backward(input.shape(), p.kernel, p.stride, grad_out),
-        reference::avgpool2d_backward(input.shape(), p.kernel, p.stride,
-                                      grad_out),
-        "avgpool2d_backward");
 
     expect_bit_identical(global_avgpool(input), reference::global_avgpool(input),
                          "global_avgpool");
@@ -578,7 +562,7 @@ TEST(KernelParity, MaxPoolTieRoutesToFirstWindowElement) {
   EXPECT_TRUE(std::signbit(zfwd.output.at(0)));
 }
 
-TEST(KernelParity, ActivationLossBatchnormRandomized) {
+TEST(KernelParity, ActivationLossRandomized) {
   ModeGuard mode(KernelMode::kDeterministic);
   util::Rng rng(0xAC71);
   const Tensor x = Tensor::randn({2, 3, 6, 6}, rng);
@@ -604,31 +588,6 @@ TEST(KernelParity, ActivationLossBatchnormRandomized) {
   EXPECT_EQ(kd.loss, kd_ref.loss) << "kd_softmax_rows loss";
   expect_bit_identical(kd.grad, kd_ref.grad, "kd_softmax_rows grad");
 
-  const Tensor gamma = Tensor::randn({3}, rng);
-  const Tensor beta = Tensor::randn({3}, rng);
-  const auto bn = batchnorm2d_train(x, gamma, beta, 1e-5f);
-  const auto bn_ref = reference::batchnorm2d_train(x, gamma, beta, 1e-5f);
-  expect_bit_identical(bn.output, bn_ref.output, "batchnorm2d_train output");
-  expect_bit_identical(bn.norm, bn_ref.norm, "batchnorm2d_train norm");
-  expect_bits_equal_floats(bn.mean, bn_ref.mean, "batchnorm2d_train mean");
-  expect_bits_equal_floats(bn.var, bn_ref.var, "batchnorm2d_train var");
-  expect_bits_equal_floats(bn.inv_std, bn_ref.inv_std,
-                           "batchnorm2d_train inv_std");
-
-  const Tensor rmean = Tensor::randn({3}, rng);
-  Tensor rvar = Tensor::randn({3}, rng);
-  for (int c = 0; c < 3; ++c) rvar(c) = std::abs(rvar(c)) + 0.5f;
-  expect_bit_identical(
-      batchnorm2d_infer(x, gamma, beta, rmean, rvar, 1e-5f),
-      reference::batchnorm2d_infer(x, gamma, beta, rmean, rvar, 1e-5f),
-      "batchnorm2d_infer");
-
-  const auto bng = batchnorm2d_backward(gx, bn.norm, gamma, bn.inv_std);
-  const auto bng_ref =
-      reference::batchnorm2d_backward(gx, bn_ref.norm, gamma, bn_ref.inv_std);
-  expect_bit_identical(bng.input, bng_ref.input, "batchnorm2d_backward input");
-  expect_bit_identical(bng.gamma, bng_ref.gamma, "batchnorm2d_backward gamma");
-  expect_bit_identical(bng.beta, bng_ref.beta, "batchnorm2d_backward beta");
 }
 
 TEST(KernelParity, SgdUpdateRandomized) {
@@ -666,14 +625,13 @@ TEST(KernelDeterminism, FrameworkOpsThreadCountInvariance) {
   auto run_all = [&] {
     struct Out {
       MaxPoolResult mp;
-      Tensor mp_back, ap, ap_back, xg, kg, sgd_p, sgd_v;
+      Tensor mp_back, ap, xg, kg, sgd_p, sgd_v;
       double xl, kl;
     } o;
     o.mp = maxpool2d(input, 3, 2);
     const Tensor pg = Tensor::ones(o.mp.output.shape());
     o.mp_back = maxpool2d_backward(input.shape(), o.mp.argmax, pg);
     o.ap = avgpool2d(input, 3, 2);
-    o.ap_back = avgpool2d_backward(input.shape(), 3, 2, pg);
     auto xent = softmax_xent_rows(logits, labels);
     o.xl = xent.loss;
     o.xg = std::move(xent.grad);
@@ -696,8 +654,6 @@ TEST(KernelDeterminism, FrameworkOpsThreadCountInvariance) {
   expect_bit_identical(one.mp_back, four.mp_back,
                        "maxpool backward threads 1 vs 4");
   expect_bit_identical(one.ap, four.ap, "avgpool threads 1 vs 4");
-  expect_bit_identical(one.ap_back, four.ap_back,
-                       "avgpool backward threads 1 vs 4");
   EXPECT_EQ(one.xl, four.xl) << "xent loss threads 1 vs 4";
   expect_bit_identical(one.xg, four.xg, "xent grad threads 1 vs 4");
   EXPECT_EQ(one.kl, four.kl) << "kd loss threads 1 vs 4";

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "nn/activation.h"
-#include "nn/batchnorm.h"
 #include "nn/composite.h"
 #include "nn/conv.h"
 #include "nn/linear.h"
@@ -23,7 +22,7 @@ using tensor::Tensor;
 /// Central-difference check of dL/dinput and dL/dparams for the smooth loss
 /// L = sum(output^2) (its gradient 2*output stays continuous through ReLU
 /// kinks, unlike sum(output)). Numeric losses use training mode because
-/// backward() differentiates the training-mode function (BatchNorm differs).
+/// backward() differentiates the training-mode function.
 void check_layer_gradients(Layer& layer, const Tensor& input,
                            float tol = 3e-2f, float rel_tol = 0.03f) {
   const Tensor out = layer.forward_train(input);
@@ -174,10 +173,6 @@ TEST(Layer, ConstForwardBetweenTrainAndBackwardChangesNothing) {
   check_const_forward_keeps_training_cache(
       pool, Tensor::randn({1, 2, 4, 4}, rng), Tensor::randn({1, 2, 6, 6}, rng),
       Tensor::randn({1, 2, 2, 2}, rng));
-  BatchNorm2d bn(2);
-  check_const_forward_keeps_training_cache(
-      bn, Tensor::randn({2, 2, 3, 3}, rng), Tensor::randn({1, 2, 3, 3}, rng),
-      Tensor::randn({2, 2, 3, 3}, rng));
   ResidualBlock block(3, 3, 3, 1, false, rng);
   check_const_forward_keeps_training_cache(
       block, Tensor::randn({1, 3, 4, 4}, rng), Tensor::randn({2, 3, 4, 4}, rng),
@@ -326,38 +321,6 @@ TEST(DropoutLayer, InvalidProbabilityThrows) {
   EXPECT_THROW(Dropout(1.0, 3), std::invalid_argument);
 }
 
-TEST(BatchNormLayer, NormalizesBatchStatistics) {
-  BatchNorm2d bn(2);
-  util::Rng rng(18);
-  Tensor x = Tensor::randn({4, 2, 3, 3}, rng, 3.0f);
-  x.add_(Tensor::full(x.shape(), 5.0f));
-  const Tensor y = bn.forward_train(x);
-  // Per-channel output should be ~ zero-mean unit-variance.
-  for (int c = 0; c < 2; ++c) {
-    double mean = 0.0, var = 0.0;
-    const int count = 4 * 3 * 3;
-    for (int b = 0; b < 4; ++b)
-      for (int i = 0; i < 3; ++i)
-        for (int j = 0; j < 3; ++j) mean += y(b, c, i, j);
-    mean /= count;
-    for (int b = 0; b < 4; ++b)
-      for (int i = 0; i < 3; ++i)
-        for (int j = 0; j < 3; ++j) {
-          const double d = y(b, c, i, j) - mean;
-          var += d * d;
-        }
-    var /= count;
-    EXPECT_NEAR(mean, 0.0, 1e-4);
-    EXPECT_NEAR(var, 1.0, 1e-3);
-  }
-}
-
-TEST(BatchNormLayer, GradientCheck) {
-  util::Rng rng(19);
-  BatchNorm2d bn(2);
-  check_layer_gradients(bn, Tensor::randn({2, 2, 3, 3}, rng), 5e-2f);
-}
-
 TEST(FireLayer, ShapeAndMacc) {
   util::Rng rng(20);
   Fire fire(16, 4, 8, rng);
@@ -487,19 +450,6 @@ TEST(MaxPoolLayer, BackwardWithoutTrainingForwardThrows) {
   const Tensor grad_in = pool.backward(grad);
   EXPECT_EQ(grad_in.shape(), input.shape());
   // The cache is released by backward: a second backward is stale.
-  EXPECT_THROW(pool.backward(grad), std::logic_error);
-}
-
-TEST(AvgPoolLayer, BackwardReleasesCache) {
-  AvgPool2d pool(2, 2);
-  const Tensor input = Tensor::ones({1, 1, 4, 4});
-  const Tensor grad = Tensor::ones({1, 1, 2, 2});
-  EXPECT_THROW(pool.backward(grad), std::logic_error);
-  pool.forward(input);
-  EXPECT_THROW(pool.backward(grad), std::logic_error);
-  pool.forward_train(input);
-  const Tensor grad_in = pool.backward(grad);
-  EXPECT_EQ(grad_in.shape(), input.shape());
   EXPECT_THROW(pool.backward(grad), std::logic_error);
 }
 

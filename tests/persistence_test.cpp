@@ -138,6 +138,10 @@ TEST_F(TreeIoFixture, MalformedInputsRejected) {
   // A node line whose plan length disagrees with its cut must be rejected.
   EXPECT_THROW(tree::decode_tree(base_, good + "node 0 2 0\n"),
                std::runtime_error);
+  // A doubled separator leaves an empty path, which would address the
+  // virtual root and clear the whole tree.
+  EXPECT_THROW(tree::decode_tree(base_, good + "node  0 \n"),
+               std::runtime_error);
 }
 
 TEST_F(TreeIoFixture, WrongBaseModelRejected) {

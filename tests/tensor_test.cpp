@@ -239,14 +239,6 @@ TEST(AvgPool, Values) {
   EXPECT_EQ(out(0, 0, 0, 0), 2.5f);
 }
 
-TEST(AvgPool, BackwardSpreadsUniformly) {
-  Tensor input({1, 1, 2, 2});
-  Tensor grad_out({1, 1, 1, 1});
-  grad_out(0, 0, 0, 0) = 4.0f;
-  const Tensor grad_in = avgpool2d_backward(input.shape(), 2, 2, grad_out);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(grad_in.at(i), 1.0f);
-}
-
 TEST(GlobalAvgPool, ForwardAndBackward) {
   Tensor input({1, 2, 2, 2});
   for (int i = 0; i < 4; ++i) input.at(i) = 2.0f;

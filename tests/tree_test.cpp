@@ -13,6 +13,7 @@
 #include "tree/model_tree.h"
 #include "tree/realized_tree.h"
 #include "tree/tree_search.h"
+#include "util/thread_pool.h"
 
 namespace cadmc::tree {
 namespace {
@@ -342,12 +343,24 @@ TEST_F(TreeFixture, RealizedPathsAreDeterministicAndMatchOracle) {
   util::Rng rng(71);
   const auto x = tensor::Tensor::randn({1, 3, 32, 32}, rng, 0.3f);
   const tensor::Tensor plain = base_.forward(x);
+  struct ThreadGuard {
+    std::size_t saved = util::configured_threads();
+    ~ThreadGuard() { util::set_configured_threads(saved); }
+  } thread_guard;
   for (const std::vector<int>& forks : paths) {
     const RealizedTree::Path& p = realized.path(forks);
     const Strategy& s = p.strategy;
     ASSERT_EQ(s.key(), tree.strategy_for_path(forks).strategy.key());
     const tensor::Tensor logits = run_path(base_, p, x);
     EXPECT_TRUE(bitwise_equal(run_path(base_, p, x), logits));
+    // The logits do not depend on the thread count.
+    util::set_configured_threads(1);
+    const tensor::Tensor one_thread = run_path(base_, p, x);
+    util::set_configured_threads(4);
+    const tensor::Tensor four_threads = run_path(base_, p, x);
+    util::set_configured_threads(thread_guard.saved);
+    EXPECT_TRUE(bitwise_equal(one_thread, four_threads));
+    EXPECT_TRUE(bitwise_equal(one_thread, logits));
 
     util::Rng oracle_rng(RealizedTree::path_seed(s));
     const engine::RealizedStrategy oracle =

@@ -173,22 +173,6 @@ TEST(LinearFit, NoisyLineHighR2) {
   EXPECT_GT(fit.r2, 0.99);
 }
 
-TEST(Multilinear, RecoversPlane) {
-  Rng rng(6);
-  std::vector<std::vector<double>> xs;
-  std::vector<double> ys;
-  for (int i = 0; i < 100; ++i) {
-    const double a = rng.uniform(), b = rng.uniform();
-    xs.push_back({a, b});
-    ys.push_back(2.0 * a - 3.0 * b + 0.5);
-  }
-  const auto w = fit_multilinear(xs, ys);
-  ASSERT_EQ(w.size(), 3u);
-  EXPECT_NEAR(w[0], 2.0, 1e-6);
-  EXPECT_NEAR(w[1], -3.0, 1e-6);
-  EXPECT_NEAR(w[2], 0.5, 1e-6);
-}
-
 TEST(RSquared, PerfectPrediction) {
   const std::vector<double> y{1.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(r_squared(y, y), 1.0);
