@@ -491,7 +491,7 @@ PerfStats bench_span_overhead_enabled(const PerfSuiteConfig& config) {
   PerfStats stats = measure(
       "span_overhead_enabled", config.warmup, config.repetitions, [&] {
         for (int i = 0; i < kSpanBatch; ++i) obs::ScopedSpan span("bench_span");
-        registry.reset();  // keep the span log bounded per repetition
+        registry.reset();  // each repetition starts from an empty registry
       });
   obs::set_enabled(was_enabled);
   return per_item(stats, kSpanBatch, "ns");

@@ -72,8 +72,6 @@ BranchSearchResult BranchSearch::run(double bandwidth_bytes_per_ms) {
     if (obs::enabled()) {
       obs::count("cadmc.search.branch_episodes");
       obs::observe("cadmc.search.branch_reward", eval.reward);
-      obs::set_gauge("cadmc.search.branch_best_reward",
-                     result.best_eval.reward);
     }
     const double advantage = baseline.advantage(eval.reward);
     // Rewards live on a ~400 scale; normalize the advantage so the policy

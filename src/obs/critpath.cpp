@@ -291,10 +291,6 @@ ProfileReport profile_spans(const std::vector<SpanRecord>& spans) {
   return report;
 }
 
-ProfileReport profile_registry(const MetricsRegistry& registry) {
-  return profile_spans(registry.spans());
-}
-
 std::vector<SpanRecord> spans_from_events(
     const std::vector<std::map<std::string, std::string>>& events) {
   std::vector<SpanRecord> spans;

@@ -98,9 +98,6 @@ struct ProfileReport {
 /// frames serialize and two concurrent ones parallelize.
 ProfileReport profile_spans(const std::vector<SpanRecord>& spans);
 
-/// Convenience: profiles everything `registry` retained.
-ProfileReport profile_registry(const MetricsRegistry& registry);
-
 /// Extracts span records from parsed JSONL events (obs::parse_jsonl shape,
 /// "type":"span" lines). Events from several files can be concatenated
 /// first — the cloud half of a field run merges by shared trace ids.

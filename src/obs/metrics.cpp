@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <span>
 
 #include "util/stats.h"
@@ -62,6 +63,83 @@ HistogramSnapshot Histogram::snapshot() const {
   return s;
 }
 
+FlightRecorder& FlightRecorder::global() {
+  return MetricsRegistry::global().ring();
+}
+
+FlightRecorder::FlightRecorder(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {}
+
+FlightRecorder::Slot* FlightRecorder::slots() {
+  if (Slot* ready = ready_.load(std::memory_order_acquire)) return ready;
+  std::call_once(alloc_once_, [this] {
+    slots_ = std::make_unique<Slot[]>(capacity_);
+    ready_.store(slots_.get(), std::memory_order_release);
+  });
+  return slots_.get();
+}
+
+void FlightRecorder::record(FlightEventKind kind, const char* name,
+                            std::uint64_t trace_id, std::uint64_t span_id,
+                            std::uint64_t parent_id, double t_ms,
+                            double dur_ms, int depth, double modelled_ms) {
+  Slot* const ring = slots();
+  const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
+  Slot& slot = ring[ticket % capacity_];
+  Event event{.kind = kind, .depth = depth, .trace_id = trace_id,
+              .span_id = span_id, .parent_id = parent_id, .t_ms = t_ms,
+              .dur_ms = dur_ms, .modelled_ms = modelled_ms};
+  // At most kNameCapacity - 1 chars: the zeroed last byte stays the end.
+  std::strncpy(event.name, name == nullptr ? "?" : name, kNameCapacity - 1);
+  // Seqlock write: odd while in flight, 2*ticket+2 once published. A reader
+  // that sees mismatched or odd sequence numbers discards the slot. The
+  // payload goes through relaxed word atomics between the fences (see the
+  // Slot comment in the header).
+  std::uint64_t staged[kSlotWords] = {};
+  std::memcpy(staged, &event, sizeof(event));
+  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  for (std::size_t w = 0; w < kSlotWords; ++w)
+    slot.words[w].store(staged[w], std::memory_order_relaxed);
+  slot.seq.store(2 * ticket + 2, std::memory_order_release);
+}
+
+std::vector<FlightRecorder::Event> FlightRecorder::snapshot(
+    std::size_t newest) const {
+  const Slot* const ring = ready_.load(std::memory_order_acquire);
+  if (ring == nullptr) return {};  // nothing recorded yet
+  const std::uint64_t start = start_.load(std::memory_order_acquire);
+  const std::uint64_t head = head_.load(std::memory_order_acquire);
+  const std::uint64_t count = std::min<std::uint64_t>(
+      {head - start, capacity_, static_cast<std::uint64_t>(newest)});
+  std::vector<Event> events;
+  events.reserve(count);
+  for (std::uint64_t ticket = head - count; ticket < head; ++ticket) {
+    const Slot& slot = ring[ticket % capacity_];
+    const std::uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
+    if (seq_before != 2 * ticket + 2) continue;  // torn or already recycled
+    std::uint64_t staged[kSlotWords];
+    for (std::size_t w = 0; w < kSlotWords; ++w)
+      staged[w] = slot.words[w].load(std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_relaxed) != seq_before) continue;
+    Event copy;
+    std::memcpy(&copy, staged, sizeof(copy));
+    events.push_back(copy);
+  }
+  return events;
+}
+
+std::uint64_t FlightRecorder::recorded() const {
+  const std::uint64_t start = start_.load(std::memory_order_acquire);
+  return head_.load(std::memory_order_relaxed) - start;
+}
+
+void FlightRecorder::clear() {
+  start_.store(head_.load(std::memory_order_relaxed),
+               std::memory_order_release);
+}
+
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry instance;
   return instance;
@@ -82,25 +160,34 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   return histograms_[name];
 }
 
-void MetricsRegistry::record_span(SpanRecord record) {
-  histogram("cadmc.span." + record.name).observe(record.wall_ms);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (spans_.size() >= kMaxSpans) {
-    ++dropped_spans_;
-    return;
+void MetricsRegistry::record_span(const SpanRecord& span,
+                                  FlightEventKind kind) {
+  if (enabled()) {
+    thread_local std::string key;  // reused: a span allocates no key
+    key.assign("cadmc.span.").append(span.name);
+    histogram(key).observe(span.wall_ms);
   }
-  spans_.push_back(std::move(record));
+  ring_.record(kind, span.name.c_str(), span.trace_id, span.id, span.parent_id,
+               span.start_ms, span.wall_ms, span.depth, span.modelled_ms);
 }
 
 std::vector<SpanRecord> MetricsRegistry::spans() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return spans_;
+  std::vector<SpanRecord> out;
+  for (const FlightRecorder::Event& e : ring_.snapshot()) {
+    if (e.span_id == 0) continue;  // a fault/breaker/shed point event
+    out.push_back({e.span_id, e.parent_id, e.trace_id, e.name, e.depth, e.t_ms,
+                   e.dur_ms, e.modelled_ms});
+  }
+  return out;
 }
 
 std::map<std::string, std::int64_t> MetricsRegistry::counter_values() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::map<std::string, std::int64_t> out;
   for (const auto& [name, c] : counters_) out[name] = c.value();
+  if (const std::uint64_t n = ring_.recorded(); n > ring_.capacity())
+    out["cadmc.obs.spans_overwritten"] =
+        static_cast<std::int64_t>(n - ring_.capacity());
   return out;
 }
 
@@ -124,8 +211,7 @@ void MetricsRegistry::reset() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-  spans_.clear();
-  dropped_spans_ = 0;
+  ring_.clear();
 }
 
 #ifndef CADMC_OBS_DISABLED

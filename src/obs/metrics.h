@@ -1,8 +1,10 @@
 // Metrics registry — named counters, gauges and histograms for the whole
-// stack (metric naming scheme: "cadmc.<area>.<name>"). Every producer
-// records into the one process-wide registry, MetricsRegistry::global(), so
-// all spans of a frame share one causal tree. A standalone MetricsRegistry
-// is only ever a reader's input (exporters, reports, tests).
+// stack (metric naming scheme: "cadmc.<area>.<name>"), plus the one span
+// store: a lock-free ring that keeps the newest kMaxSpans spans. Every
+// producer records into the one process-wide registry,
+// MetricsRegistry::global(), so all spans of a frame share one causal tree;
+// FlightRecorder::global() is that registry's ring. A standalone
+// MetricsRegistry is only ever a reader's input (exporters, reports, tests).
 //
 // Cost model: every instrumentation site is gated by the runtime flag
 // `obs::enabled()` (one relaxed atomic load when off) and the whole layer can
@@ -13,9 +15,11 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace cadmc::obs {
@@ -102,9 +106,84 @@ struct SpanRecord {
   double modelled_ms = -1.0; // analytic-model duration; < 0 when unset
 };
 
-/// Thread-safe named-metric registry. Metric objects are created on first
-/// use; a returned reference stays valid until reset() or the registry's
-/// destruction, whichever comes first.
+enum class FlightEventKind { kSpan, kFault, kBreaker, kQueue };
+
+/// Fixed-capacity, lock-free (per-slot seqlock) ring that keeps the newest
+/// spans and fault/breaker/shed point events, overwriting the oldest. The
+/// first record allocates the slots, so recording nothing costs no memory.
+class FlightRecorder {
+ public:
+  static constexpr std::size_t kNameCapacity = 48;  // names keep 47 chars
+  static constexpr std::size_t kDumpEvents = 1024;
+
+  struct Event {
+    FlightEventKind kind = FlightEventKind::kSpan;
+    int depth = 0;
+    char name[kNameCapacity] = {};
+    std::uint64_t trace_id = 0;
+    std::uint64_t span_id = 0;    // 0 for point events
+    std::uint64_t parent_id = 0;
+    double t_ms = 0.0;            // span start / event time, steady ms
+    double dur_ms = 0.0;          // span wall time; 0 for point events
+    double modelled_ms = -1.0;    // analytic-model duration; < 0 when unset
+  };
+
+  /// The global registry's ring (the one the runtime hooks feed).
+  static FlightRecorder& global();
+
+  explicit FlightRecorder(std::size_t capacity);
+
+  /// Lock-free past the first record: a relaxed ticket fetch_add plus a
+  /// seqlock-guarded slot write. Safe to call from any thread, including
+  /// while another thread snapshots; a reader skips torn slots.
+  void record(FlightEventKind kind, const char* name, std::uint64_t trace_id,
+              std::uint64_t span_id, std::uint64_t parent_id, double t_ms,
+              double dur_ms, int depth = 0, double modelled_ms = -1.0);
+
+  /// The newest `newest` retained events (all of them by default), oldest
+  /// first. Torn slots (overwritten while being copied) are dropped rather
+  /// than returned corrupt.
+  std::vector<Event> snapshot(std::size_t newest = SIZE_MAX) const;
+
+  /// Writes a JSONL dump: one header line ({"type":"flight_dump", ...})
+  /// followed by one line per event, the newest kDumpEvents at most.
+  /// Returns false on I/O failure.
+  bool dump_jsonl(const std::string& path, const std::string& reason) const;
+
+  std::size_t capacity() const { return capacity_; }
+  /// Events recorded since construction or the last clear().
+  std::uint64_t recorded() const;
+  /// Empties the ring by moving the start ticket to the head: it never
+  /// writes a slot that a concurrent writer may own.
+  void clear();
+
+ private:
+  // Event payloads are staged through word-sized atomics (relaxed loads and
+  // stores bracketed by the seqlock fences) rather than a plain struct copy:
+  // a plain copy racing a writer is undefined behaviour in the C++ memory
+  // model even though the seqlock discards the torn value, and TSan rightly
+  // flags it. Relaxed word accesses compile to the same machine code.
+  static constexpr std::size_t kSlotWords = (sizeof(Event) + 7) / 8;
+  static_assert(std::is_trivially_copyable_v<Event>);
+
+  struct Slot {
+    std::atomic<std::uint64_t> seq{0};  // 2*ticket+1 while writing, +2 done
+    std::atomic<std::uint64_t> words[kSlotWords] = {};
+  };
+
+  Slot* slots();  // allocates on first use
+
+  std::size_t capacity_;
+  std::once_flag alloc_once_;
+  std::unique_ptr<Slot[]> slots_;
+  std::atomic<Slot*> ready_{nullptr};  // slots_, once allocated
+  std::atomic<std::uint64_t> head_{0};   // next ticket
+  std::atomic<std::uint64_t> start_{0};  // first ticket since clear()
+};
+
+/// Thread-safe named-metric registry and span store. Metric objects are
+/// created on first use; a returned reference stays valid until reset() or
+/// the registry's destruction, whichever comes first.
 class MetricsRegistry {
  public:
   /// Process-wide default instance.
@@ -118,18 +197,28 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// Appends a closed span and folds its wall duration into the
-  /// "cadmc.span.<name>" histogram. Retention is capped at kMaxSpans.
+  /// Writes a closed span into the ring, tagged `kind` for flight dumps,
+  /// and, while obs::enabled(), folds its wall duration into the
+  /// "cadmc.span.<name>" histogram. The ring keeps the newest kMaxSpans.
   static constexpr std::size_t kMaxSpans = 100'000;
-  void record_span(SpanRecord record);
+  void record_span(const SpanRecord& span,
+                   FlightEventKind kind = FlightEventKind::kSpan);
 
+  /// Every span in the ring, in record order, whether obs::enabled() or
+  /// obs::flight_recording() recorded it; no point event (span id 0).
   std::vector<SpanRecord> spans() const;
+  /// The counters, plus "cadmc.obs.spans_overwritten" (ring events lost to
+  /// overwrites since reset()) once it is non-zero, so every exporter
+  /// prints it with no code of its own.
   std::map<std::string, std::int64_t> counter_values() const;
   std::map<std::string, double> gauge_values() const;
   std::map<std::string, HistogramSnapshot> histogram_values() const;
 
-  /// Drops every metric and retained span. Erases the metric objects, so
-  /// every reference counter()/gauge()/histogram() returned dangles.
+  FlightRecorder& ring() { return ring_; }
+
+  /// Drops every metric and empties the ring, point events included.
+  /// Erases the metric objects, so every reference counter()/gauge()/
+  /// histogram() returned dangles.
   void reset();
 
  private:
@@ -137,8 +226,7 @@ class MetricsRegistry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
-  std::vector<SpanRecord> spans_;
-  std::size_t dropped_spans_ = 0;
+  FlightRecorder ring_{kMaxSpans};
 };
 
 #ifndef CADMC_OBS_DISABLED

@@ -2,8 +2,8 @@
 // JSONL heartbeat plus the global registry's counter/gauge/histogram values
 // to a file every interval, so a serving process (gateway, field emulator)
 // can be observed *while it runs* — `tail -f` the file, or feed it to
-// `cadmc report`. Span records are deliberately not re-dumped per tick (they are
-// cumulative and unbounded); the end-of-run exporters cover those.
+// `cadmc report`. Span records are not re-dumped per tick (the ring holds up
+// to 100,000); the end-of-run exporters cover those.
 //
 // Enabled from the environment: CADMC_METRICS_INTERVAL_MS=<ms> turns the
 // exporter on (and implies CADMC_METRICS=1 — a snapshot of a disabled

@@ -47,22 +47,13 @@ std::uint64_t record_external_span(const char* name, std::uint64_t trace_id,
                                    std::uint64_t parent_id, double start_ms,
                                    double wall_ms, int depth,
                                    FlightEventKind flight_kind) {
-  const bool to_metrics = enabled();
-  const bool to_flight = flight_recording();
-  if (!to_metrics && !to_flight) return 0;
-  SpanRecord record;
-  record.id = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-  record.parent_id = parent_id;
-  record.trace_id = trace_id;
-  record.name = name == nullptr ? "?" : name;
-  record.depth = depth;
-  record.start_ms = start_ms;
-  record.wall_ms = wall_ms;
-  const std::uint64_t id = record.id;
-  if (to_flight)
-    FlightRecorder::global().record(flight_kind, record.name.c_str(), trace_id,
-                                    id, parent_id, start_ms, wall_ms);
-  if (to_metrics) MetricsRegistry::global().record_span(std::move(record));
+  if (!enabled() && !flight_recording()) return 0;
+  const std::uint64_t id =
+      g_next_span_id.fetch_add(1, std::memory_order_relaxed);
+  MetricsRegistry::global().record_span(
+      {id, parent_id, trace_id, name == nullptr ? "?" : name, depth, start_ms,
+       wall_ms},
+      flight_kind);
   return id;
 }
 
@@ -80,9 +71,7 @@ OutgoingContext outgoing_context() {
 }
 
 ScopedSpan::ScopedSpan(const char* name) {
-  to_metrics_ = enabled();
-  to_flight_ = flight_recording();
-  if (!to_metrics_ && !to_flight_) return;
+  if (!enabled() && !flight_recording()) return;
   active_ = true;
   name_ = name;
   id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
@@ -105,15 +94,7 @@ ScopedSpan::ScopedSpan(const char* name) {
 
 ScopedSpan::~ScopedSpan() {
   if (!active_) return;
-  SpanRecord record;
-  record.id = id_;
-  record.parent_id = parent_id_;
-  record.trace_id = trace_id_;
-  record.name = name_;
-  record.depth = depth_;
-  record.start_ms = start_ms_ + clock_offset_ms_;
-  record.wall_ms = steady_now_ms() - start_ms_;
-  record.modelled_ms = modelled_ms_;
+  const double wall_ms = steady_now_ms() - start_ms_;
   // Destruction order is LIFO within a thread, but be tolerant of exotic
   // lifetimes: pop the newest stack entry belonging to this span.
   for (auto it = t_span_stack.rbegin(); it != t_span_stack.rend(); ++it) {
@@ -122,10 +103,9 @@ ScopedSpan::~ScopedSpan() {
       break;
     }
   }
-  if (to_flight_)
-    FlightRecorder::global().record_span(record);
-  if (to_metrics_ && enabled())
-    MetricsRegistry::global().record_span(std::move(record));
+  MetricsRegistry::global().record_span({id_, parent_id_, trace_id_, name_,
+                                         depth_, start_ms_ + clock_offset_ms_,
+                                         wall_ms, modelled_ms_});
 }
 
 }  // namespace cadmc::obs

@@ -20,20 +20,19 @@
 #include <cstdint>
 
 #include "obs/metrics.h"
-#include "obs/trace_export.h"
 
 namespace cadmc::obs {
 
 class ScopedSpan {
  public:
-  /// Records into the global registry on destruction. `name` must outlive
-  /// the span (string literals do).
+  /// Records into the global registry's ring on destruction. `name` must
+  /// outlive the span (string literals do).
   explicit ScopedSpan(const char* name);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// True when collection was enabled at construction time.
+  /// True when collection or flight recording was on at construction time.
   bool active() const { return active_; }
 
   std::uint64_t id() const { return id_; }
@@ -46,8 +45,6 @@ class ScopedSpan {
 
  private:
   bool active_ = false;
-  bool to_metrics_ = false;  // record into the registry on destruction
-  bool to_flight_ = false;   // record into the flight recorder on destruction
   const char* name_ = nullptr;
   std::uint64_t id_ = 0;
   std::uint64_t parent_id_ = 0;
@@ -97,11 +94,11 @@ double steady_now_ms();
 /// stamped by the reactor thread and whose end is observed by the worker
 /// that dequeues the request. Allocates a fresh span id, parents the span
 /// explicitly under (`trace_id`, `parent_id`), and records into the global
-/// registry and the flight recorder exactly like a closing ScopedSpan. `start_ms` is in the recorded timebase (caller applies any
-/// remote clock offset); `flight_kind` tags the flight-recorder copy (e.g.
-/// FlightEventKind::kQueue for the gateway's queue-wait spans). No-op
-/// returning 0 while both obs::enabled() and obs::flight_recording() are
-/// off; otherwise returns the span id.
+/// registry exactly like a closing ScopedSpan. `start_ms` is in the recorded
+/// timebase (caller applies any remote clock offset); `flight_kind` tags the
+/// span in flight dumps (e.g. FlightEventKind::kQueue for the gateway's
+/// queue-wait spans). No-op returning 0 while both obs::enabled() and
+/// obs::flight_recording() are off; otherwise returns the span id.
 std::uint64_t record_external_span(
     const char* name, std::uint64_t trace_id, std::uint64_t parent_id,
     double start_ms, double wall_ms, int depth = 0,

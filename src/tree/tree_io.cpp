@@ -1,5 +1,6 @@
 #include "tree/tree_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -24,6 +25,18 @@ void encode_node(const TreeNode& node, const std::string& path,
   out << "\n";
   for (const TreeNode& c : node.children)
     encode_node(c, path + std::to_string(c.fork), out);
+}
+
+// The whole token as a T: an empty token or a non-numeric tail ("1x") is
+// malformed input, not a number.
+template <typename T>
+T parse_number(const std::string& tok) {
+  T value{};
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
+  if (ec != std::errc() || ptr != end)
+    throw std::runtime_error("decode_tree: bad number '" + tok + "'");
+  return value;
 }
 }  // namespace
 
@@ -63,12 +76,12 @@ ModelTree decode_tree(const nn::Model& base, const std::string& text) {
   if (!std::getline(in, line)) throw std::runtime_error("decode_tree: truncated");
   std::vector<std::size_t> boundaries;
   for (const std::string& tok : parse_tail(line, "boundaries"))
-    if (!tok.empty()) boundaries.push_back(std::stoul(tok));
+    if (!tok.empty()) boundaries.push_back(parse_number<std::size_t>(tok));
 
   if (!std::getline(in, line)) throw std::runtime_error("decode_tree: truncated");
   std::vector<double> forks;
   for (const std::string& tok : parse_tail(line, "forks"))
-    if (!tok.empty()) forks.push_back(std::stod(tok));
+    if (!tok.empty()) forks.push_back(parse_number<double>(tok));
 
   ModelTree tree(base, boundaries, forks);  // validates against `base`
 
@@ -83,7 +96,7 @@ ModelTree decode_tree(const nn::Model& base, const std::string& text) {
     // An empty path would address the virtual root, whose partitioning
     // cut would clear every child.
     if (path.empty()) throw std::runtime_error("decode_tree: empty node path");
-    const std::size_t cut_local = std::stoul(parts[2]);
+    const auto cut_local = parse_number<std::size_t>(parts[2]);
     const std::string plan_digits = parts.size() >= 4 ? parts[3] : "";
 
     TreeNode* node = &const_cast<TreeNode&>(tree.root());

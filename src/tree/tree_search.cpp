@@ -196,6 +196,9 @@ TreeSearchResult TreeSearch::run() {
     for (const engine::BranchSearchResult& br : result.branch_results)
       result.best_branch_reward =
           std::max(result.best_branch_reward, br.best_eval.reward);
+    // Set once: the concurrent searches would race for the last write.
+    obs::set_gauge("cadmc.search.branch_best_reward",
+                   result.best_branch_reward);
     // Mixed-fork paths inherit the strongest single branch as a floor; the
     // all-k paths then get their fork-matched branches (Sec. VII-A).
     std::size_t best_k = 0;

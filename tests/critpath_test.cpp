@@ -252,7 +252,7 @@ TEST(CritPath, JsonlRoundTripPreservesProfile) {
         obs::spans_from_events(obs::parse_jsonl(jsonl));
     ASSERT_EQ(decoded.size(), 5u);
 
-    const ProfileReport direct = obs::profile_registry(registry);
+    const ProfileReport direct = obs::profile_spans(registry.spans());
     const ProfileReport via_file = obs::profile_spans(decoded);
     EXPECT_EQ(obs::profile_jsonl(via_file), obs::profile_jsonl(direct));
     EXPECT_DOUBLE_EQ(via_file.traces[0].critical_path_ms, 12.0);
@@ -358,7 +358,7 @@ TEST(CritPath, GatewayQueueWaitAppearsOnServeCriticalPath) {
   EXPECT_FALSE(gateway.stats().running);
 
   const ProfileReport report =
-      obs::profile_registry(obs::MetricsRegistry::global());
+      obs::profile_spans(obs::MetricsRegistry::global().spans());
   // Both requests produce a gateway_queue span; the second one queued behind
   // a ~30 ms handler, so the longer wait is unambiguous.
   const CritNode* queue = nullptr;

@@ -1,7 +1,8 @@
 // Observability tests: counter/gauge/histogram math (including quantile
 // edges and 4-thread concurrent increments), span nesting with parent/child
-// ids and modelled-ms fields, the disabled fast path, JSONL round-trip, and
-// report rendering.
+// ids and modelled-ms fields, the disabled fast path, JSONL round-trip,
+// report rendering, and the one span store (newest spans kept, overwrite
+// counter, flight-only spans, reset).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -384,6 +385,81 @@ TEST(Registry, ResetDropsEverything) {
   EXPECT_TRUE(reg.gauge_values().empty());
   EXPECT_TRUE(reg.histogram_values().empty());
   EXPECT_TRUE(reg.spans().empty());
+}
+
+// The one span store: the registry's ring keeps the newest kMaxSpans spans
+// and counts the ones it overwrote.
+TEST(SpanStore, KeepsNewestSpansAndCountsOverwrites) {
+  EnabledGuard guard(false);  // no span histograms: only the ring matters
+  MetricsRegistry reg;
+  constexpr std::uint64_t kExtra = 7;
+  const auto record = [&](std::uint64_t id) {
+    SpanRecord s;
+    s.id = id;
+    s.trace_id = 1;
+    s.name = "s";
+    s.start_ms = static_cast<double>(id);
+    reg.record_span(s);
+  };
+  for (std::uint64_t id = 1; id <= MetricsRegistry::kMaxSpans; ++id)
+    record(id);
+  // A full ring has overwritten nothing, so no counter shows.
+  EXPECT_TRUE(reg.counter_values().empty());
+  for (std::uint64_t i = 1; i <= kExtra; ++i)
+    record(MetricsRegistry::kMaxSpans + i);
+
+  const std::vector<SpanRecord> spans = reg.spans();
+  ASSERT_EQ(spans.size(), MetricsRegistry::kMaxSpans);
+  for (std::size_t i = 0; i < spans.size(); ++i)
+    ASSERT_EQ(spans[i].id, kExtra + 1 + i) << "record order at " << i;
+  const auto counters = reg.counter_values();
+  ASSERT_EQ(counters.count("cadmc.obs.spans_overwritten"), 1u);
+  EXPECT_EQ(counters.at("cadmc.obs.spans_overwritten"),
+            static_cast<std::int64_t>(kExtra));
+  // The exporters print it like any counter.
+  EXPECT_NE(to_jsonl(reg).find("\"name\":\"cadmc.obs.spans_overwritten\","
+                               "\"value\":7"),
+            std::string::npos);
+
+  reg.reset();
+  EXPECT_TRUE(reg.spans().empty());
+  EXPECT_TRUE(reg.counter_values().empty());
+  record(1);
+  EXPECT_EQ(reg.spans().size(), 1u);
+}
+
+TEST(SpanStore, FlightRecordingAloneFillsSpansWithoutHistograms) {
+  EnabledGuard guard(false);
+  FreshGlobal fresh;
+  const bool was_flight = flight_recording();
+  set_flight_recording(true);
+  { ScopedSpan span("flight_only"); }
+  set_flight_recording(was_flight);
+  const auto spans = fresh.reg.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "flight_only");
+  EXPECT_TRUE(fresh.reg.histogram_values().empty());
+}
+
+TEST(SpanStore, SpansSkipPointEventsAndResetEmptiesTheRing) {
+  EnabledGuard guard(true);
+  FreshGlobal fresh;
+  FlightRecorder& ring = FlightRecorder::global();
+  EXPECT_EQ(&ring, &fresh.reg.ring());
+  { ScopedSpan span("metrics_span"); }
+  ring.record(FlightEventKind::kFault, "deadline_miss", 0, 0, 0, 1.0, 0.0);
+  ring.record(FlightEventKind::kBreaker, "breaker_open", 0, 0, 0, 2.0, 0.0);
+  EXPECT_EQ(ring.snapshot().size(), 3u);
+  const auto spans = fresh.reg.spans();
+  ASSERT_EQ(spans.size(), 1u);  // the point events are not spans
+  EXPECT_EQ(spans[0].name, "metrics_span");
+
+  fresh.reg.reset();
+  EXPECT_TRUE(ring.snapshot().empty());  // point events went too
+  EXPECT_EQ(ring.recorded(), 0u);
+  { ScopedSpan span("after_reset"); }
+  ASSERT_EQ(fresh.reg.spans().size(), 1u);
+  EXPECT_EQ(fresh.reg.spans()[0].name, "after_reset");
 }
 
 }  // namespace

@@ -142,6 +142,15 @@ TEST_F(TreeIoFixture, MalformedInputsRejected) {
   // virtual root and clear the whole tree.
   EXPECT_THROW(tree::decode_tree(base_, good + "node  0 \n"),
                std::runtime_error);
+  // Numbers are whole tokens: a numeric prefix is not a cut or a boundary,
+  // and a token with no digits is malformed input, not std::invalid_argument.
+  EXPECT_THROW(tree::decode_tree(base_, good + "node 0 1x 0\n"),
+               std::runtime_error);
+  EXPECT_THROW(tree::decode_tree(base_, good + "node 0 x\n"),
+               std::runtime_error);
+  std::string bad_boundary = good;
+  bad_boundary.insert(good.find("\nforks"), "x");  // "boundaries ... <b>x"
+  EXPECT_THROW(tree::decode_tree(base_, bad_boundary), std::runtime_error);
 }
 
 TEST_F(TreeIoFixture, WrongBaseModelRejected) {

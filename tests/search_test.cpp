@@ -8,6 +8,7 @@
 //    fair-chance actions being excluded from the policy gradient.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "engine/branch_search.h"
@@ -103,6 +104,25 @@ TEST_F(SearchFixture, TreeSearchBitIdenticalForOneVsFourThreads) {
   ASSERT_EQ(serial.log.episodes(), parallel.log.episodes());
   for (std::size_t e = 0; e < serial.log.episodes(); ++e)
     EXPECT_EQ(serial.log.rewards()[e], parallel.log.rewards()[e]);
+}
+
+// The branch searches run concurrently, so the gauge is set once from the
+// finished result rather than by whichever search wrote last.
+TEST_F(SearchFixture, BranchBestRewardGaugeIsTheBestBranch) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::MetricsRegistry::global().reset();
+  const TreeSearchResult result = run_with_threads(4);
+  const auto gauges = obs::MetricsRegistry::global().gauge_values();
+  obs::set_enabled(was_enabled);
+  obs::MetricsRegistry::global().reset();
+
+  ASSERT_EQ(result.branch_results.size(), 2u);
+  double best = result.branch_results[0].best_eval.reward;
+  for (const auto& br : result.branch_results)
+    best = std::max(best, br.best_eval.reward);
+  ASSERT_EQ(gauges.count("cadmc.search.branch_best_reward"), 1u);
+  EXPECT_EQ(gauges.at("cadmc.search.branch_best_reward"), best);
 }
 
 TEST_F(SearchFixture, RandomSearchBitIdenticalForOneVsFourThreads) {

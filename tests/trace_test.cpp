@@ -204,7 +204,7 @@ TEST(DistributedTrace, ChromeTraceExportIsWellFormed) {
     obs::ScopedSpan child("edge_compute");
   }
   const std::string doc =
-      obs::to_chrome_trace(obs::MetricsRegistry::global());
+      obs::to_chrome_trace(obs::MetricsRegistry::global().spans());
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(doc.find("\"name\":\"frame\""), std::string::npos);
@@ -380,6 +380,29 @@ TEST(FlightRecorderTest, RingWraparoundUnderConcurrentWritersStaysConsistent) {
                    static_cast<double>(recorder.capacity()));
   EXPECT_DOUBLE_EQ(settled.back().t_ms,
                    static_cast<double>(2 * recorder.capacity() - 1));
+}
+
+// The ring holds far more than a postmortem needs: a dump writes only the
+// newest kDumpEvents of it.
+TEST(FlightRecorderTest, DumpWritesTheNewestDumpEventsOnly) {
+  constexpr std::size_t kRecorded = FlightRecorder::kDumpEvents + 300;
+  FlightRecorder recorder(2 * FlightRecorder::kDumpEvents);
+  for (std::size_t i = 0; i < kRecorded; ++i)
+    recorder.record(FlightEventKind::kSpan, "frame", 1, i + 1, 0,
+                    static_cast<double>(i), 1.0);
+  const std::string path = temp_path("cadmc_trace_test_dump_newest.jsonl");
+  ASSERT_TRUE(recorder.dump_jsonl(path, "unit_test"));
+  std::string text;
+  ASSERT_TRUE(util::read_file(path, text));
+  const auto events = obs::parse_jsonl(text);
+  ASSERT_EQ(events.size(), 1 + FlightRecorder::kDumpEvents);
+  EXPECT_EQ(events[0].at("events"),
+            std::to_string(FlightRecorder::kDumpEvents));
+  EXPECT_EQ(events[0].at("recorded"), std::to_string(kRecorded));
+  EXPECT_EQ(obs::event_double(events[1], "t_ms"), 300.0);
+  EXPECT_EQ(obs::event_double(events.back(), "t_ms"),
+            static_cast<double>(kRecorded - 1));
+  std::filesystem::remove(path);
 }
 
 TEST(FlightRecorderTest, QueueEventsDumpWithQueueKind) {

@@ -61,6 +61,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
+#include "obs/span.h"
 #include "obs/trace_export.h"
 #include "runtime/gateway.h"
 #include "tensor/kernel_mode.h"
@@ -297,6 +298,16 @@ int cmd_emulate(const Flags& flags) {
   return 0;
 }
 
+/// The global registry's spans that started at or after `mark_ms`
+/// (obs::steady_now_ms() taken just before an inline workload).
+std::vector<obs::SpanRecord> spans_since(double mark_ms) {
+  std::vector<obs::SpanRecord> spans = obs::MetricsRegistry::global().spans();
+  std::erase_if(spans, [&](const obs::SpanRecord& s) {
+    return s.start_ms < mark_ms;
+  });
+  return spans;
+}
+
 int cmd_profile(const Flags& flags) {
   // Two modes: point at recorded trace files (--trace, JSONL metric streams
   // and/or Chrome trace documents, comma-separated — e.g. the edge and
@@ -339,17 +350,13 @@ int cmd_profile(const Flags& flags) {
                                                   /*train_steps=*/8,
                                                   /*lr=*/0.05);
     obs::set_enabled(true);
-    const std::size_t before = obs::MetricsRegistry::global().spans().size();
+    const double mark = obs::steady_now_ms();
     std::uint64_t seed = 100;
     for (int i = 0; i < candidates; ++i) {
       nn::Model student = nn::make_tiny_cnn(4, 12, seed++);
       evaluator.train_and_evaluate(student);
     }
-    std::vector<obs::SpanRecord> spans = obs::MetricsRegistry::global().spans();
-    spans.erase(spans.begin(),
-                spans.begin() + static_cast<std::ptrdiff_t>(
-                                    std::min(before, spans.size())));
-    report = obs::profile_spans(spans);
+    report = obs::profile_spans(spans_since(mark));
   } else {
     // Inline workload: the emulator run from `cadmc emulate`, with span
     // collection forced on, profiled straight from the registry.
@@ -372,18 +379,13 @@ int cmd_profile(const Flags& flags) {
                                     rc);
     obs::set_enabled(true);
     // The runner records into the global registry via ScopedSpan defaults;
-    // profile only the spans this workload appends instead of resetting
+    // profile only the spans this workload records instead of resetting
     // state the caller may be exporting with --metrics-out.
-    const std::size_t before = obs::MetricsRegistry::global().spans().size();
+    const double mark = obs::steady_now_ms();
     if (policy == "all" || policy == "surgery") runner.run_surgery();
     if (policy == "all" || policy == "branch") runner.run_branch(art.branch.best);
     if (policy == "all" || policy == "tree") runner.run_tree(art.tree.tree);
-    std::vector<obs::SpanRecord> spans =
-        obs::MetricsRegistry::global().spans();
-    spans.erase(spans.begin(),
-                spans.begin() + static_cast<std::ptrdiff_t>(
-                                    std::min(before, spans.size())));
-    report = obs::profile_spans(spans);
+    report = obs::profile_spans(spans_since(mark));
   }
 
   const std::string format = flag_or(flags, "format", "report");
@@ -620,7 +622,7 @@ int main(int argc, char** argv) {
     std::printf("%s", obs::render_report(obs::make_report(registry)).c_str());
   }
   if (!trace_out.empty()) {
-    if (obs::export_chrome_trace(registry, trace_out))
+    if (util::write_file(trace_out, obs::to_chrome_trace(registry.spans())))
       std::printf("chrome trace saved to %s (load in chrome://tracing or "
                   "ui.perfetto.dev)\n",
                   trace_out.c_str());
