@@ -364,13 +364,15 @@ PerfStats bench_parallel_search(const PerfSuiteConfig& config) {
 // --- Compute-kernel benches (the math engine under search and serving). ---
 // Shapes are CIFAR-scale on purpose: they match what the distillation loop
 // and the edge-slice executors actually run. Committed baselines under
-// bench/baselines/ were captured with CADMC_THREADS=1 on the naive loop-nest
-// kernels, so --compare against them shows the blocked-kernel speedup (and
-// guards it: ratios drifting back toward 1.0 mean the kernels regressed).
+// bench/baselines/ were captured with CADMC_THREADS=1 (the deterministic
+// GEMM, conv_forward, distill_train and decision_infer ones, and their fast
+// twins, as the median of five runs), so --compare against them flags a
+// kernel slowing down.
 //
 // Each kernel bench runs twice: once as `<name>` pinned to the deterministic
-// scalar kernels and once as `<name>_fast` pinned to the AVX2/FMA vector
-// kernels (skipped when the hardware can't run them). The post-pass in
+// kernels (whose GEMM runs the AVX2 double-lane tile where the CPU has it)
+// and once as `<name>_fast` pinned to the AVX2/FMA fp32 kernels (skipped
+// when the hardware can't run them). The post-pass in
 // run_perf_suite stamps the fast record with its measured
 // speedup_vs_deterministic ratio.
 

@@ -160,12 +160,27 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   return histograms_[name];
 }
 
+void MetricsRegistry::count(const std::string& name, std::int64_t n) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  counters_[name].add(n);
+}
+
+void MetricsRegistry::set_gauge(const std::string& name, double v) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  gauges_[name].set(v);
+}
+
+void MetricsRegistry::observe(const std::string& name, double v) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  histograms_[name].observe(v);
+}
+
 void MetricsRegistry::record_span(const SpanRecord& span,
                                   FlightEventKind kind) {
   if (enabled()) {
     thread_local std::string key;  // reused: a span allocates no key
     key.assign("cadmc.span.").append(span.name);
-    histogram(key).observe(span.wall_ms);
+    observe(key, span.wall_ms);
   }
   ring_.record(kind, span.name.c_str(), span.trace_id, span.id, span.parent_id,
                span.start_ms, span.wall_ms, span.depth, span.modelled_ms);
@@ -217,17 +232,17 @@ void MetricsRegistry::reset() {
 #ifndef CADMC_OBS_DISABLED
 void count(std::string_view name, std::int64_t n) {
   if (!enabled()) return;
-  MetricsRegistry::global().counter(std::string(name)).add(n);
+  MetricsRegistry::global().count(std::string(name), n);
 }
 
 void observe(std::string_view name, double v) {
   if (!enabled()) return;
-  MetricsRegistry::global().histogram(std::string(name)).observe(v);
+  MetricsRegistry::global().observe(std::string(name), v);
 }
 
 void set_gauge(std::string_view name, double v) {
   if (!enabled()) return;
-  MetricsRegistry::global().gauge(std::string(name)).set(v);
+  MetricsRegistry::global().set_gauge(std::string(name), v);
 }
 #endif
 

@@ -197,6 +197,14 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
+  /// Look up (creating on first use) and update in one critical section on
+  /// the registry mutex, so a concurrent reset() cannot erase the metric
+  /// between the lookup and the write. The producers' recording calls and
+  /// the span-histogram fold go through these, never through a reference.
+  void count(const std::string& name, std::int64_t n);
+  void set_gauge(const std::string& name, double v);
+  void observe(const std::string& name, double v);
+
   /// Writes a closed span into the ring, tagged `kind` for flight dumps,
   /// and, while obs::enabled(), folds its wall duration into the
   /// "cadmc.span.<name>" histogram. The ring keeps the newest kMaxSpans.

@@ -1,9 +1,13 @@
 // Runtime kernel-mode selection for src/tensor.
 //
 // Two modes exist:
-//  * kDeterministic (default) — the blocked scalar kernels with one double
+//  * kDeterministic (default) — the blocked kernels with one double
 //    accumulator per output element. Bit-identical to tensor::reference for
-//    any thread count; this is the repo-wide test contract.
+//    any thread count; this is the repo-wide test contract. The packed GEMM
+//    runs an AVX2 tile of double lanes whenever the CPU has AVX2+FMA (a
+//    float x float product is exact in double, so lanes round exactly like
+//    the scalar loop), and the scalar micro-kernel elsewhere — the same
+//    bits either way, so this is not a mode of its own.
 //  * kFast — explicitly vectorized fp32 kernels (AVX2/FMA today, NEON
 //    later). Validated against the reference kernels by tolerance
 //    (tests/compare.h) instead of bit-equality, but still invariant to
@@ -23,7 +27,7 @@
 namespace cadmc::tensor {
 
 enum class KernelMode {
-  kDeterministic = 0,  // scalar blocked kernels, bitwise reference contract
+  kDeterministic = 0,  // double-accumulator kernels, bitwise reference contract
   kFast = 1,           // vectorized fp32 kernels, tolerance contract
 };
 

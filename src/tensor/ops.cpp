@@ -2,9 +2,13 @@
 // contract and ops_reference.cpp for the naive loop nests that define it.
 //
 // Structure:
-//  * One register-blocked GEMM micro-kernel (double accumulators over a
-//    packed kNR-column B-panel) shared by matmul/matmul_tn/matmul_nt and by
-//    both convolution directions.
+//  * One GEMM (double accumulators over packed kNR-column B-panels) shared
+//    by matmul/matmul_tn/matmul_nt and the convolution forward. Its packed
+//    case (m >= kPackMinRows) runs the AVX2 4x8 double-lane tile of
+//    ops_avx2.cpp (vec::gemm_packed_exact) whenever vec::available(), and
+//    the scalar micro_kernel below otherwise; both round every element
+//    exactly as tensor::reference does, because a float x float product is
+//    exact in double and each element still sums k ascending.
 //  * conv2d lowers to im2col + GEMM per (batch, group); 1x1 stride-1
 //    unpadded convs skip the im2col copy entirely (the input already is the
 //    column matrix) and depthwise convs use a direct per-channel loop.
@@ -18,9 +22,10 @@
 //    makes results bit-identical for any thread count.
 //  * Kernel-mode dispatch: kernel_mode() == kFast routes the GEMM column
 //    tasks, the depthwise planes and the conv-backward inner loops to the
-//    vectorized fp32 kernels in ops_avx2.cpp (vec::*). The mode is resolved
-//    once per public entry point, so one call never mixes modes; im2col,
-//    the col2im gather structure and all task ownership stay shared.
+//    vectorized fp32 kernels in ops_avx2.cpp (vec::*). The mode and the
+//    GEMM path are resolved once per public entry point, so one call never
+//    mixes kernels; im2col, the col2im gather structure and all task
+//    ownership stay shared.
 #include "tensor/ops.h"
 
 #include <algorithm>
@@ -57,55 +62,60 @@ void note_im2col_bytes(std::int64_t bytes) {
   if (obs::enabled()) obs::count("cadmc.kernel.im2col_bytes", bytes);
 }
 
+// Which kernel set a GEMM runs, resolved once per public op so one call
+// never mixes them. kExactVector is the deterministic contract on the AVX2
+// tile (ops_avx2.cpp) and is picked whenever the CPU can run it; kScalar is
+// the same contract on machines or builds without it.
+enum class GemmPath { kScalar, kExactVector, kFast };
+
+GemmPath gemm_path() {
+  if (kernel_mode() == KernelMode::kFast) return GemmPath::kFast;
+  return vec::available() ? GemmPath::kExactVector : GemmPath::kScalar;
+}
+
 bool fast_mode() { return kernel_mode() == KernelMode::kFast; }
 
-// One C-row x B-panel update:
-//   c[jj] = float(init + sum_{kk ascending} a[kk] * panel[kk*jw + jj])
-// The jw == kNR case is split out so the inner loop has a compile-time trip
-// count (vectorizes); both branches run the identical per-element sequence.
+// One C-row x B-panel update, the scalar path of builds and CPUs without
+// the AVX2 tile:
+//   c[jj] = float(init + sum_{kk ascending} a[kk] * panel[kk*kNR + jj])
+// All kNR lanes run (a compile-time trip count, so the loop vectorizes);
+// only the jw real columns of a zero-padded ragged panel are stored.
 void micro_kernel(const float* __restrict a, const float* __restrict panel,
                   int k, int jw, double init, float* __restrict c) {
   double acc[kNR];
-  if (jw == kNR) {
-    for (int jj = 0; jj < kNR; ++jj) acc[jj] = init;
-    for (int kk = 0; kk < k; ++kk) {
-      const double av = a[kk];
-      const float* __restrict brow =
-          panel + static_cast<std::ptrdiff_t>(kk) * kNR;
-      for (int jj = 0; jj < kNR; ++jj) acc[jj] += av * brow[jj];
-    }
-    for (int jj = 0; jj < kNR; ++jj) c[jj] = static_cast<float>(acc[jj]);
-  } else {
-    for (int jj = 0; jj < jw; ++jj) acc[jj] = init;
-    for (int kk = 0; kk < k; ++kk) {
-      const double av = a[kk];
-      const float* __restrict brow =
-          panel + static_cast<std::ptrdiff_t>(kk) * jw;
-      for (int jj = 0; jj < jw; ++jj) acc[jj] += av * brow[jj];
-    }
-    for (int jj = 0; jj < jw; ++jj) c[jj] = static_cast<float>(acc[jj]);
+  for (int jj = 0; jj < kNR; ++jj) acc[jj] = init;
+  for (int kk = 0; kk < k; ++kk) {
+    const double av = a[kk];
+    const float* __restrict brow =
+        panel + static_cast<std::ptrdiff_t>(kk) * kNR;
+    for (int jj = 0; jj < kNR; ++jj) acc[jj] += av * brow[jj];
   }
+  for (int jj = 0; jj < jw; ++jj) c[jj] = static_cast<float>(acc[jj]);
 }
 
 // Computes C[i][j0..j1) for every row i, with A rows contiguous (lda >= k).
 // row_init may be null (zero init) or point at m per-row initial values
 // (conv bias). Runs inside one parallel task; only touches its own columns.
-// `fast` selects the vectorized fp32 kernels — resolved by the caller once
-// per public op, never inside the task, so one call never mixes modes.
-void gemm_columns(bool fast, const float* a, int lda, const float* b, int ldb,
-                  BLayout layout, int m, int k, const float* row_init,
-                  float* c, int ldc, int jbegin, int jend) {
-  if (fast) {
+void gemm_columns(GemmPath path, const float* a, int lda, const float* b,
+                  int ldb, BLayout layout, int m, int k,
+                  const float* row_init, float* c, int ldc, int jbegin,
+                  int jend) {
+  if (path == GemmPath::kFast) {
     vec::gemm_columns_f32(a, lda, b, ldb, layout, m, k, row_init, c, ldc,
                           jbegin, jend);
     return;
   }
+  if (path == GemmPath::kExactVector && m >= kPackMinRows) {
+    vec::gemm_packed_exact(a, lda, b, ldb, layout, m, k, row_init, c, ldc,
+                           jbegin, jend);
+    return;
+  }
   ScratchArena& arena = ScratchArena::local();
   if (m >= kPackMinRows) {
+    const auto panel = arena.floats(ScratchArena::kPanel,
+                                    static_cast<std::size_t>(k) * kNR);
     for (int j0 = jbegin; j0 < jend; j0 += kNR) {
       const int jw = std::min(kNR, jend - j0);
-      const auto panel = arena.floats(
-          ScratchArena::kPanel, static_cast<std::size_t>(k) * jw);
       if (layout == BLayout::kRowMajorKN)
         pack_panel_kn(b, ldb, k, j0, jw, panel.data());
       else
@@ -162,7 +172,7 @@ void gemm_blocked(const float* a, int lda, const float* b, int ldb,
                   BLayout layout, int m, int n, int k, const float* row_init,
                   float* c, int ldc) {
   note_gemm_flops(static_cast<std::int64_t>(m) * n * k);
-  const bool fast = fast_mode();
+  const GemmPath path = gemm_path();
   const int jblocks = (n + kJBlock - 1) / kJBlock;
   const bool parallel =
       jblocks > 1 &&
@@ -171,7 +181,7 @@ void gemm_blocked(const float* a, int lda, const float* b, int ldb,
                         [&](std::size_t jb) {
                           const int jbegin = static_cast<int>(jb) * kJBlock;
                           const int jend = std::min(n, jbegin + kJBlock);
-                          gemm_columns(fast, a, lda, b, ldb, layout, m, k,
+                          gemm_columns(path, a, lda, b, ldb, layout, m, k,
                                        row_init, c, ldc, jbegin, jend);
                         });
 }
@@ -480,7 +490,7 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   const ColMatrix col = build_col_matrix(in, d, spec);
   note_gemm_flops(static_cast<std::int64_t>(d.n) * d.groups * d.co_per_g *
                   d.how * d.kk);
-  const bool fast = fast_mode();
+  const GemmPath path = gemm_path();
   const int jblocks = (d.how + kJBlock - 1) / kJBlock;
   const std::size_t tasks =
       static_cast<std::size_t>(d.n) * d.groups * jblocks;
@@ -497,7 +507,7 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
     const int jend = std::min(d.how, jbegin + kJBlock);
     // Weight rows of group g are contiguous [co_per_g][kk]; C rows are the
     // output channel planes of (b, g).
-    gemm_columns(fast,
+    gemm_columns(path,
                  wgt + static_cast<std::ptrdiff_t>(g) * d.co_per_g * d.kk,
                  d.kk, col.slice(b, g, d.groups), d.how,
                  BLayout::kRowMajorKN, d.co_per_g, d.kk,

@@ -1,18 +1,27 @@
-// Vectorized fp32 fast-mode kernels (AVX2 + FMA). This translation unit is
-// the only one compiled with -mavx2 -mfma (see src/CMakeLists.txt), so every
-// function here must stay behind the vec::available() runtime gate — on a
-// CPU without AVX2 the dispatcher in ops.cpp never calls in.
+// AVX2 + FMA kernels: the deterministic-contract GEMM tile and the fp32
+// fast-mode kernels. This translation unit is the only one compiled with
+// -mavx2 -mfma (see src/CMakeLists.txt), so every function here must stay
+// behind the vec::available() runtime gate (cpuid) — on a CPU without AVX2
+// the dispatcher in ops.cpp never calls in.
 //
-// Numerical contract: fp32 accumulation, one 8-lane FMA per (element, k)
-// term, k ascending — the same operand order as the deterministic kernels
-// with the double accumulator narrowed to float. Each output element is
-// produced by exactly one caller task, so fast-mode results are bitwise
-// invariant to thread count even though they differ from tensor::reference
-// by rounding (bounded by the tolerance suite in kernel_test).
+// Numerical contracts:
+//  * gemm_packed_exact (deterministic mode): one double accumulator per
+//    output element, k ascending, one rounding to float — bitwise equal to
+//    tensor::reference. A float x float product is exact in double (24 + 24
+//    significand bits < 53), so a vector FMA over double lanes rounds each
+//    step exactly like the scalar `acc += double(a) * b`.
+//  * Everything else (fast mode): fp32 accumulation, one 8-lane FMA per
+//    (element, k) term, k ascending — the same operand order as the
+//    deterministic kernels with the accumulator narrowed to float. Results
+//    differ from tensor::reference by rounding (bounded by the tolerance
+//    suite in kernel_test).
+// Each output element is produced by exactly one caller task in both, so
+// results are bitwise invariant to thread count.
 //
-// The kNR(=8)-column B-panel maps directly onto one ymm register column:
-// the micro-kernel holds 4 C-rows x 8 C-columns in four accumulators and
-// broadcasts one A element per row per k step.
+// Both GEMMs share one pack/tile driver: B is packed into kNR(=8)-column
+// panels, and a tile holds 4 C-rows x 8 C-columns — one fp32 ymm register
+// per row in fast mode, two double ymm registers per row in deterministic
+// mode.
 #include "tensor/ops_vector.h"
 
 #include <stdexcept>
@@ -23,6 +32,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <type_traits>
 
 #include "tensor/scratch.h"
 
@@ -44,95 +54,158 @@ namespace {
 
 using detail::kNR;
 
-// Full-width panels start 64-byte aligned (ScratchArena::kAlignment) and
-// every row is kNR floats = 32 bytes, so aligned loads are safe.
-inline __m256 panel_row(const float* panel, int kk) {
-  return _mm256_load_ps(panel + static_cast<std::ptrdiff_t>(kk) * kNR);
+// Every panel is packed kNR floats wide (ragged ones zero-padded), starts
+// 64-byte aligned (ScratchArena::kAlignment), and a kNR-float row is 32
+// bytes, so aligned loads are safe on every row.
+inline const float* panel_row(const float* panel, int kk) {
+  return panel + static_cast<std::ptrdiff_t>(kk) * kNR;
 }
 
-// C[i..i+4)[j0..j0+8): four row accumulators against one packed panel.
-void micro_4x8(const float* __restrict a, int lda,
-               const float* __restrict panel, int k, const float* row_init,
-               int i, float* __restrict c, int ldc, int j0) {
-  const float* __restrict a0 = a + static_cast<std::ptrdiff_t>(i) * lda;
-  const float* __restrict a1 = a0 + lda;
-  const float* __restrict a2 = a1 + lda;
-  const float* __restrict a3 = a2 + lda;
-  __m256 acc0 = row_init ? _mm256_set1_ps(row_init[i]) : _mm256_setzero_ps();
-  __m256 acc1 =
-      row_init ? _mm256_set1_ps(row_init[i + 1]) : _mm256_setzero_ps();
-  __m256 acc2 =
-      row_init ? _mm256_set1_ps(row_init[i + 2]) : _mm256_setzero_ps();
-  __m256 acc3 =
-      row_init ? _mm256_set1_ps(row_init[i + 3]) : _mm256_setzero_ps();
-  for (int kk = 0; kk < k; ++kk) {
-    const __m256 bv = panel_row(panel, kk);
-    acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[kk]), bv, acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[kk]), bv, acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[kk]), bv, acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[kk]), bv, acc3);
+// Deterministic-contract tile: C[r][0..kNR) for R rows, two double
+// accumulators (columns 0-3 and 4-7) per row. Each lane starts at the row's
+// init and adds a[r][kk] * panel[kk][j] for kk ascending. A float x float
+// product is exact in double, so the fused multiply-add rounds exactly as
+// the scalar `acc += double(a) * b` of micro_kernel and tensor::reference.
+// A rows are read four k at a time and widened once; a permute then
+// broadcasts each lane, which costs less than a convert per element.
+struct ExactTile {
+  template <int R>
+  static void rows(const float* __restrict a, int lda,
+                   const float* __restrict panel, int k, const float* init,
+                   float* __restrict c, int ldc) {
+    __m256d lo[R], hi[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+      lo[r] = hi[r] =
+          _mm256_set1_pd(init ? static_cast<double>(init[r]) : 0.0);
+    const auto step = [&](int kk, auto&& a_of) {
+      const float* brow = panel_row(panel, kk);
+      const __m256d blo = _mm256_cvtps_pd(_mm_load_ps(brow));
+      const __m256d bhi = _mm256_cvtps_pd(_mm_load_ps(brow + 4));
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const __m256d av = a_of(r);
+        lo[r] = _mm256_fmadd_pd(av, blo, lo[r]);
+        hi[r] = _mm256_fmadd_pd(av, bhi, hi[r]);
+      }
+    };
+    int kk = 0;
+    for (; kk + 4 <= k; kk += 4) {
+      __m256d a4[R];
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r)
+        a4[r] = _mm256_cvtps_pd(
+            _mm_loadu_ps(a + static_cast<std::ptrdiff_t>(r) * lda + kk));
+      step(kk, [&](int r) { return _mm256_permute4x64_pd(a4[r], 0x00); });
+      step(kk + 1, [&](int r) { return _mm256_permute4x64_pd(a4[r], 0x55); });
+      step(kk + 2, [&](int r) { return _mm256_permute4x64_pd(a4[r], 0xAA); });
+      step(kk + 3, [&](int r) { return _mm256_permute4x64_pd(a4[r], 0xFF); });
+    }
+    for (; kk < k; ++kk)
+      step(kk, [&](int r) {
+        return _mm256_set1_pd(static_cast<double>(
+            a[static_cast<std::ptrdiff_t>(r) * lda + kk]));
+      });
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      float* crow = c + static_cast<std::ptrdiff_t>(r) * ldc;
+      _mm_storeu_ps(crow, _mm256_cvtpd_ps(lo[r]));
+      _mm_storeu_ps(crow + 4, _mm256_cvtpd_ps(hi[r]));
+    }
   }
-  float* crow = c + static_cast<std::ptrdiff_t>(i) * ldc + j0;
-  _mm256_storeu_ps(crow, acc0);
-  _mm256_storeu_ps(crow + ldc, acc1);
-  _mm256_storeu_ps(crow + 2 * static_cast<std::ptrdiff_t>(ldc), acc2);
-  _mm256_storeu_ps(crow + 3 * static_cast<std::ptrdiff_t>(ldc), acc3);
-}
+};
 
-// One C-row against a full kNR panel.
-void micro_1x8(const float* __restrict arow, const float* __restrict panel,
-               int k, float init, float* __restrict crow) {
-  __m256 acc = _mm256_set1_ps(init);
-  for (int kk = 0; kk < k; ++kk)
-    acc = _mm256_fmadd_ps(_mm256_set1_ps(arow[kk]), panel_row(panel, kk), acc);
-  _mm256_storeu_ps(crow, acc);
-}
-
-// Ragged panel tail (jw < kNR): scalar fp32 in the same element order.
-void micro_tail(const float* __restrict arow, const float* __restrict panel,
-                int k, int jw, float init, float* __restrict crow) {
-  float acc[kNR];
-  for (int jj = 0; jj < jw; ++jj) acc[jj] = init;
-  for (int kk = 0; kk < k; ++kk) {
-    const float av = arow[kk];
-    const float* __restrict brow =
-        panel + static_cast<std::ptrdiff_t>(kk) * jw;
-    for (int jj = 0; jj < jw; ++jj) acc[jj] += av * brow[jj];
+// Fast-mode tile: one fp32 accumulator of kNR lanes per row, one FMA per
+// (row, kk) term, kk ascending.
+struct FastTile {
+  template <int R>
+  static void rows(const float* __restrict a, int lda,
+                   const float* __restrict panel, int k, const float* init,
+                   float* __restrict c, int ldc) {
+    __m256 acc[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+      acc[r] = init ? _mm256_set1_ps(init[r]) : _mm256_setzero_ps();
+    for (int kk = 0; kk < k; ++kk) {
+      const __m256 bv = _mm256_load_ps(panel_row(panel, kk));
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r)
+        acc[r] = _mm256_fmadd_ps(
+            _mm256_set1_ps(a[static_cast<std::ptrdiff_t>(r) * lda + kk]), bv,
+            acc[r]);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+      _mm256_storeu_ps(c + static_cast<std::ptrdiff_t>(r) * ldc, acc[r]);
   }
-  for (int jj = 0; jj < jw; ++jj) crow[jj] = acc[jj];
+};
+
+// The one pack/tile driver of both modes: C[i][jbegin..jend) for every row
+// i. Every kNR-column panel of the range is packed up front (per call, into
+// this thread's kPanel slot); then each 4-row tile (single rows for the
+// remainder) sweeps all panels, so the A rows stream from memory once per
+// call instead of once per panel. A ragged last panel (jw < kNR) is
+// zero-padded; its tile lands in a local buffer and only the jw real
+// columns are copied out.
+template <class Tile>
+void gemm_packed(const float* a, int lda, const float* b, int ldb,
+                 detail::BLayout layout, int m, int k, const float* row_init,
+                 float* c, int ldc, int jbegin, int jend) {
+  const int panels = (jend - jbegin + kNR - 1) / kNR;
+  const std::ptrdiff_t panel_elems = static_cast<std::ptrdiff_t>(k) * kNR;
+  const auto packed = ScratchArena::local().floats(
+      ScratchArena::kPanel, static_cast<std::size_t>(panel_elems) * panels);
+  for (int p = 0; p < panels; ++p) {
+    const int j0 = jbegin + p * kNR;
+    const int jw = std::min(kNR, jend - j0);
+    float* panel = packed.data() + p * panel_elems;
+    if (layout == detail::BLayout::kRowMajorKN)
+      detail::pack_panel_kn(b, ldb, k, j0, jw, panel);
+    else
+      detail::pack_panel_nk(b, ldb, k, j0, jw, panel);
+  }
+  const auto tile = [&](auto rows_tag, int i) {
+    constexpr int R = decltype(rows_tag)::value;
+    const float* arow = a + static_cast<std::ptrdiff_t>(i) * lda;
+    const float* init = row_init ? row_init + i : nullptr;
+    for (int p = 0; p < panels; ++p) {
+      const int j0 = jbegin + p * kNR;
+      const int jw = std::min(kNR, jend - j0);
+      const float* panel = packed.data() + p * panel_elems;
+      float* crow = c + static_cast<std::ptrdiff_t>(i) * ldc + j0;
+      if (jw == kNR) {
+        Tile::template rows<R>(arow, lda, panel, k, init, crow, ldc);
+        continue;
+      }
+      float ragged[R][kNR];
+      Tile::template rows<R>(arow, lda, panel, k, init, ragged[0], kNR);
+      for (int r = 0; r < R; ++r)
+        std::copy_n(ragged[r], jw,
+                    crow + static_cast<std::ptrdiff_t>(r) * ldc);
+    }
+  };
+  int i = 0;
+  for (; i + 4 <= m; i += 4) tile(std::integral_constant<int, 4>{}, i);
+  for (; i < m; ++i) tile(std::integral_constant<int, 1>{}, i);
 }
 
 }  // namespace
+
+void gemm_packed_exact(const float* a, int lda, const float* b, int ldb,
+                       detail::BLayout layout, int m, int k,
+                       const float* row_init, float* c, int ldc, int jbegin,
+                       int jend) {
+  gemm_packed<ExactTile>(a, lda, b, ldb, layout, m, k, row_init, c, ldc,
+                         jbegin, jend);
+}
 
 void gemm_columns_f32(const float* a, int lda, const float* b, int ldb,
                       detail::BLayout layout, int m, int k,
                       const float* row_init, float* c, int ldc, int jbegin,
                       int jend) {
-  ScratchArena& arena = ScratchArena::local();
   if (m >= detail::kPackMinRows) {
-    for (int j0 = jbegin; j0 < jend; j0 += kNR) {
-      const int jw = std::min(kNR, jend - j0);
-      const auto panel = arena.floats(
-          ScratchArena::kPanel, static_cast<std::size_t>(k) * jw);
-      if (layout == detail::BLayout::kRowMajorKN)
-        detail::pack_panel_kn(b, ldb, k, j0, jw, panel.data());
-      else
-        detail::pack_panel_nk(b, ldb, k, j0, jw, panel.data());
-      if (jw == kNR) {
-        int i = 0;
-        for (; i + 4 <= m; i += 4)
-          micro_4x8(a, lda, panel.data(), k, row_init, i, c, ldc, j0);
-        for (; i < m; ++i)
-          micro_1x8(a + static_cast<std::ptrdiff_t>(i) * lda, panel.data(), k,
-                    row_init ? row_init[i] : 0.0f,
-                    c + static_cast<std::ptrdiff_t>(i) * ldc + j0);
-      } else {
-        for (int i = 0; i < m; ++i)
-          micro_tail(a + static_cast<std::ptrdiff_t>(i) * lda, panel.data(),
-                     k, jw, row_init ? row_init[i] : 0.0f,
-                     c + static_cast<std::ptrdiff_t>(i) * ldc + j0);
-      }
-    }
+    gemm_packed<FastTile>(a, lda, b, ldb, layout, m, k, row_init, c, ldc,
+                          jbegin, jend);
     return;
   }
   // Few rows: packing would cost as much as the math. KN streams B rows with
@@ -399,6 +472,11 @@ namespace {
 bool compiled() { return false; }
 bool cpu_supported() { return false; }
 bool available() { return false; }
+
+void gemm_packed_exact(const float*, int, const float*, int, detail::BLayout,
+                       int, int, const float*, float*, int, int, int) {
+  not_compiled();
+}
 
 void gemm_columns_f32(const float*, int, const float*, int, detail::BLayout,
                       int, int, const float*, float*, int, int, int) {

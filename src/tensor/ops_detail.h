@@ -28,26 +28,34 @@ inline constexpr std::int64_t kParallelMinMacc = 1 << 16;
 // im2col columns), kRowMajorNK is B[n][k] (matmul_nt).
 enum class BLayout { kRowMajorKN, kRowMajorNK };
 
-// panel[kk*jw + jj] = B(kk, j0+jj) for a B[k][ldb] row-major operand.
+// Every panel is kNR floats wide: panel[kk*kNR + jj] is B(kk, j0+jj) for
+// jj < jw, and a ragged panel (jw < kNR) is zero-padded, so the
+// micro-kernels always run kNR columns and store only the jw real ones.
+
+// Packs a B[k][ldb] row-major operand.
 inline void pack_panel_kn(const float* __restrict src, int ldb, int k, int j0,
                           int jw, float* __restrict dst) {
   for (int kk = 0; kk < k; ++kk) {
     const float* __restrict s =
         src + static_cast<std::ptrdiff_t>(kk) * ldb + j0;
-    float* __restrict p = dst + static_cast<std::ptrdiff_t>(kk) * jw;
+    float* __restrict p = dst + static_cast<std::ptrdiff_t>(kk) * kNR;
     for (int jj = 0; jj < jw; ++jj) p[jj] = s[jj];
+    for (int jj = jw; jj < kNR; ++jj) p[jj] = 0.0f;
   }
 }
 
-// panel[kk*jw + jj] = B(j0+jj, kk) for a B[n][ldb] row-major operand (NT).
+// Packs a B[n][ldb] row-major operand (NT), i.e. B(kk, j) = src[j][kk].
 inline void pack_panel_nk(const float* __restrict src, int ldb, int k, int j0,
                           int jw, float* __restrict dst) {
   for (int jj = 0; jj < jw; ++jj) {
     const float* __restrict s =
         src + static_cast<std::ptrdiff_t>(j0 + jj) * ldb;
     for (int kk = 0; kk < k; ++kk)
-      dst[static_cast<std::ptrdiff_t>(kk) * jw + jj] = s[kk];
+      dst[static_cast<std::ptrdiff_t>(kk) * kNR + jj] = s[kk];
   }
+  for (int kk = 0; kk < k; ++kk)
+    for (int jj = jw; jj < kNR; ++jj)
+      dst[static_cast<std::ptrdiff_t>(kk) * kNR + jj] = 0.0f;
 }
 
 inline void check_rank2(const Tensor& t, const char* name) {

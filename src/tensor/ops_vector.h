@@ -1,10 +1,13 @@
-// Internal entry points of the vectorized fp32 fast-mode kernels
-// (ops_avx2.cpp, compiled with -mavx2 -mfma when the toolchain supports
-// them). Not part of the public ops.h surface — dispatch happens inside
-// ops.cpp, gated on tensor::kernel_mode() == KernelMode::kFast, which in
-// turn folds in vec::available().
+// Internal entry points of the AVX2/FMA kernels (ops_avx2.cpp, compiled
+// with -mavx2 -mfma when the toolchain supports them). Not part of the
+// public ops.h surface — dispatch happens inside ops.cpp: the deterministic
+// GEMM tile (gemm_packed_exact) whenever vec::available(), everything else
+// only when tensor::kernel_mode() == KernelMode::kFast, which in turn folds
+// in vec::available().
 //
-// Contract (weaker than the deterministic kernels, still strict):
+// gemm_packed_exact keeps the deterministic contract: bitwise equal to
+// tensor::reference. The fast-mode contract of every other function
+// (weaker than the deterministic kernels, still strict):
 //  * fp32 accumulation with 8-lane FMA; validated against tensor::reference
 //    by tolerance (tests/compare.h), not bitwise.
 //  * Every output element is still produced by exactly one caller task in a
@@ -27,6 +30,18 @@ bool cpu_supported();
 
 /// compiled() && cpu_supported().
 bool available();
+
+/// The deterministic-contract GEMM of ops.cpp's packed case (m >=
+/// kPackMinRows): C[i][jbegin..jend) for every row i, one double
+/// accumulator per element starting at row_init[i] (or 0), k ascending, one
+/// rounding to float — bitwise-identical to the scalar micro_kernel and to
+/// tensor::reference. 4x8 tiles of two 4-lane double accumulators per row;
+/// B-panels are packed per call from this thread's ScratchArena. Safe to
+/// run inside one parallel task (touches only its own columns).
+void gemm_packed_exact(const float* a, int lda, const float* b, int ldb,
+                       detail::BLayout layout, int m, int k,
+                       const float* row_init, float* c, int ldc, int jbegin,
+                       int jend);
 
 /// Fast-mode analogue of the scalar gemm_columns: computes
 /// C[i][jbegin..jend) for every row i with fp32 FMA accumulation,

@@ -114,7 +114,9 @@ TEST(PerfCompare, SpeedupsAndExactMatchesPass) {
 }
 
 /// End-to-end: run the real suite (cheapest benchmark only), then compare
-/// against a baseline doctored to be 2x faster — the suite must exit 1.
+/// against doctored baselines. Each re-run re-measures ~8 ns items, so the
+/// baselines sit a factor of 100 away from the measurement on either side:
+/// host load cannot flip either verdict.
 TEST(PerfSuite, EndToEndCompareExitCodes) {
   const std::string out = temp_dir("cadmc_benchguard_suite_out");
   const std::string baseline = temp_dir("cadmc_benchguard_suite_base");
@@ -134,15 +136,17 @@ TEST(PerfSuite, EndToEndCompareExitCodes) {
                              measured));
   ASSERT_GT(measured.p50, 0.0);
 
-  // Baseline claiming we used to be 2x faster -> current run regresses.
-  PerfStats fast = measured;
-  fast.p50 = measured.p50 / 2.0;
-  ASSERT_TRUE(write_perf_json(baseline, fast));
+  // Baseline claiming we used to be 100x faster -> the re-run regresses.
+  PerfStats faster = measured;
+  faster.p50 = measured.p50 / 100.0;
+  ASSERT_TRUE(write_perf_json(baseline, faster));
   config.compare_dir = baseline;
   EXPECT_EQ(run_perf_suite(config), 1);
 
-  // Baseline equal to the current run -> clean exit.
-  ASSERT_TRUE(write_perf_json(baseline, measured));
+  // Baseline claiming we used to be 100x slower -> clean exit.
+  PerfStats slower = measured;
+  slower.p50 = measured.p50 * 100.0;
+  ASSERT_TRUE(write_perf_json(baseline, slower));
   EXPECT_EQ(run_perf_suite(config), 0);
 
   std::filesystem::remove_all(out);

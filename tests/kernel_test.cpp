@@ -75,9 +75,12 @@ TEST(KernelParity, MatmulFamilyRandomized) {
   util::Rng rng(0xA11CE);
   // Shapes straddle the packing (m >= 4) and parallel thresholds, plus
   // ragged tails that don't divide the kNR/kJBlock blocking.
-  const int dims[][3] = {{1, 7, 5},   {3, 16, 64},  {4, 4, 4},
-                         {8, 33, 65}, {17, 40, 129}, {64, 64, 64},
-                         {5, 1, 9},   {96, 31, 257}};
+  // {13, 1200, 4} and {6, 300, 1}: one zero-padded ragged panel, deep k,
+  // and m % 4 != 0, so the vector tile's remainder rows run.
+  const int dims[][3] = {{1, 7, 5},     {3, 16, 64},   {4, 4, 4},
+                         {8, 33, 65},   {17, 40, 129}, {64, 64, 64},
+                         {5, 1, 9},     {96, 31, 257}, {13, 1200, 4},
+                         {6, 300, 1}};
   for (const auto& d : dims) {
     const int m = d[0], k = d[1], n = d[2];
     const Tensor a = Tensor::randn({m, k}, rng);
@@ -110,6 +113,10 @@ const ConvCase kConvCases[] = {
     {1, 3, 11, 11, 2, 5, 2, 2, 1, false}, // 5x5, stride 2, pad 2
     {3, 2, 4, 4, 2, 3, 1, 2, 1, true},    // padding > needed
     {1, 16, 16, 16, 24, 3, 1, 1, 1, true},// big enough to parallelize
+    // VGG11's late maps: 2x2 and 1x1 outputs leave one ragged panel
+    // (n = 4 or 1 < kNR) over k >= 1,000; co % 4 != 0 runs remainder rows.
+    {1, 128, 2, 2, 20, 3, 1, 1, 1, true},
+    {1, 64, 1, 1, 13, 3, 1, 1, 1, false},
 };
 
 TEST(KernelParity, Conv2dForwardRandomized) {
@@ -160,19 +167,30 @@ TEST(KernelDeterminism, ThreadCountInvariance) {
   const Tensor bias = Tensor::randn({16}, rng);
   const Conv2dSpec spec{1, 1, 1};
   const Tensor grad_out = Tensor::randn({2, 16, 14, 14}, rng);
+  // A VGG11-shaped layer: 256 channels over an 8x8 map (k = 2304); batch 2
+  // gives the fan-out two tasks.
+  const Tensor vgg_input = Tensor::randn({2, 256, 8, 8}, rng, 0.3f);
+  const Tensor vgg_weight = Tensor::randn({256, 256, 3, 3}, rng, 0.05f);
+  const Tensor vgg_bias = Tensor::randn({256}, rng);
 
   util::set_configured_threads(1);
   const Tensor mm1 = matmul(a, b);
   const Tensor conv1 = conv2d(input, weight, bias, spec);
+  const Tensor vgg1 = conv2d(vgg_input, vgg_weight, vgg_bias, spec);
   const Conv2dGrads back1 = conv2d_backward(input, weight, true, grad_out, spec);
 
   util::set_configured_threads(4);
   const Tensor mm4 = matmul(a, b);
   const Tensor conv4 = conv2d(input, weight, bias, spec);
+  const Tensor vgg4 = conv2d(vgg_input, vgg_weight, vgg_bias, spec);
   const Conv2dGrads back4 = conv2d_backward(input, weight, true, grad_out, spec);
 
   expect_bit_identical(mm1, mm4, "matmul threads 1 vs 4");
   expect_bit_identical(conv1, conv4, "conv2d threads 1 vs 4");
+  expect_bit_identical(vgg1, vgg4, "VGG conv2d threads 1 vs 4");
+  expect_bit_identical(vgg1,
+                       reference::conv2d(vgg_input, vgg_weight, vgg_bias, spec),
+                       "VGG conv2d vs reference");
   expect_bit_identical(back1.input, back4.input, "dinput threads 1 vs 4");
   expect_bit_identical(back1.weight, back4.weight, "dweight threads 1 vs 4");
   expect_bit_identical(back1.bias, back4.bias, "dbias threads 1 vs 4");
@@ -398,9 +416,10 @@ TEST(FastKernels, MatmulFamilyWithinTolerance) {
   ModeGuard mode(KernelMode::kFast);
   ASSERT_EQ(kernel_mode(), KernelMode::kFast);
   util::Rng rng(0xFA57);
-  const int dims[][3] = {{1, 7, 5},   {3, 16, 64},   {4, 4, 4},
-                         {8, 33, 65}, {17, 40, 129}, {64, 64, 64},
-                         {5, 1, 9},   {96, 31, 257}};
+  const int dims[][3] = {{1, 7, 5},     {3, 16, 64},   {4, 4, 4},
+                         {8, 33, 65},   {17, 40, 129}, {64, 64, 64},
+                         {5, 1, 9},     {96, 31, 257}, {13, 1200, 4},
+                         {6, 300, 1}};
   for (const auto& d : dims) {
     const int m = d[0], k = d[1], n = d[2];
     const Tensor a = Tensor::randn({m, k}, rng);

@@ -30,7 +30,8 @@
 //
 // Any subcommand accepts --kernel-mode deterministic|fast (overrides the
 // CADMC_KERNEL_MODE environment variable). `deterministic` (default) runs
-// the scalar kernels that are bit-identical to tensor::reference; `fast`
+// the double-accumulator kernels that are bit-identical to
+// tensor::reference (an AVX2 GEMM tile where the CPU has it); `fast`
 // runs the AVX2/FMA vector kernels (tolerance contract, still bit-identical
 // across thread counts) and falls back to deterministic on hardware
 // without AVX2+FMA.
