@@ -140,13 +140,13 @@ struct FastTile {
   }
 };
 
-// The one pack/tile driver of both modes: C[i][jbegin..jend) for every row
-// i. Every kNR-column panel of the range is packed up front (per call, into
-// this thread's kPanel slot); then each 4-row tile (single rows for the
-// remainder) sweeps all panels, so the A rows stream from memory once per
-// call instead of once per panel. A ragged last panel (jw < kNR) is
-// zero-padded; its tile lands in a local buffer and only the jw real
-// columns are copied out.
+// The one pack/tile driver of both modes: C[i][jbegin..jend) for the m rows
+// of one row block. Every kNR-column panel of the range is packed up front
+// (per call, into this thread's kPanel slot); then each 4-row tile (single
+// rows for the remainder) sweeps all panels, so the A rows stream from
+// memory once per call instead of once per panel. A ragged last panel
+// (jw < kNR) is zero-padded; its tile lands in a local buffer and only the
+// jw real columns are copied out.
 template <class Tile>
 void gemm_packed(const float* a, int lda, const float* b, int ldb,
                  detail::BLayout layout, int m, int k, const float* row_init,
@@ -199,17 +199,20 @@ void gemm_packed_exact(const float* a, int lda, const float* b, int ldb,
                          jbegin, jend);
 }
 
-void gemm_columns_f32(const float* a, int lda, const float* b, int ldb,
-                      detail::BLayout layout, int m, int k,
-                      const float* row_init, float* c, int ldc, int jbegin,
-                      int jend) {
-  if (m >= detail::kPackMinRows) {
-    gemm_packed<FastTile>(a, lda, b, ldb, layout, m, k, row_init, c, ldc,
-                          jbegin, jend);
-    return;
-  }
-  // Few rows: packing would cost as much as the math. KN streams B rows with
-  // in-place FMA on the C row (axpy style); NT rows are contiguous dots.
+void gemm_packed_f32(const float* a, int lda, const float* b, int ldb,
+                     detail::BLayout layout, int m, int k,
+                     const float* row_init, float* c, int ldc, int jbegin,
+                     int jend) {
+  gemm_packed<FastTile>(a, lda, b, ldb, layout, m, k, row_init, c, ldc,
+                        jbegin, jend);
+}
+
+void gemm_few_rows_f32(const float* a, int lda, const float* b, int ldb,
+                       detail::BLayout layout, int m, int k,
+                       const float* row_init, float* c, int ldc, int jbegin,
+                       int jend) {
+  // Packing would cost as much as the math. KN streams B rows with in-place
+  // FMA on the C row (axpy style); NT rows are contiguous dots.
   const int width = jend - jbegin;
   if (layout == detail::BLayout::kRowMajorKN) {
     for (int i = 0; i < m; ++i) {
@@ -478,8 +481,13 @@ void gemm_packed_exact(const float*, int, const float*, int, detail::BLayout,
   not_compiled();
 }
 
-void gemm_columns_f32(const float*, int, const float*, int, detail::BLayout,
-                      int, int, const float*, float*, int, int, int) {
+void gemm_packed_f32(const float*, int, const float*, int, detail::BLayout,
+                     int, int, const float*, float*, int, int, int) {
+  not_compiled();
+}
+
+void gemm_few_rows_f32(const float*, int, const float*, int, detail::BLayout,
+                       int, int, const float*, float*, int, int, int) {
   not_compiled();
 }
 

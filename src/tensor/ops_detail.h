@@ -16,8 +16,13 @@ namespace cadmc::tensor::detail {
 
 // --- GEMM blocking parameters, shared by every kernel mode. --------------
 inline constexpr int kNR = 8;       // micro-kernel panel width (columns of C)
-inline constexpr int kJBlock = 64;  // columns per parallel task (multiple of kNR)
-// Rows below this skip panel packing (the pack cost would rival the math).
+// A GEMM fans out as one grid of (slice, row block, column block) tasks,
+// each owning a kIBlock x kJBlock block of C; a slice is one (batch, group)
+// of a conv or the whole matrix of a matmul.
+inline constexpr int kIBlock = 64;  // rows per task (multiple of the 4-row tile)
+inline constexpr int kJBlock = 64;  // columns per task (multiple of kNR)
+// A GEMM with fewer rows than this skips panel packing (the pack cost would
+// rival the math). Keyed on the whole GEMM's rows, never on one row block's.
 inline constexpr int kPackMinRows = 4;
 // Multiply-adds below this run serially: pool dispatch costs more than it
 // saves. The threshold only picks serial-vs-parallel execution — results

@@ -31,27 +31,35 @@ bool cpu_supported();
 /// compiled() && cpu_supported().
 bool available();
 
-/// The deterministic-contract GEMM of ops.cpp's packed case (m >=
-/// kPackMinRows): C[i][jbegin..jend) for every row i, one double
-/// accumulator per element starting at row_init[i] (or 0), k ascending, one
-/// rounding to float — bitwise-identical to the scalar micro_kernel and to
-/// tensor::reference. 4x8 tiles of two 4-lane double accumulators per row;
-/// B-panels are packed per call from this thread's ScratchArena. Safe to
-/// run inside one parallel task (touches only its own columns).
+/// The deterministic-contract GEMM of ops.cpp's packed case (the whole
+/// GEMM has >= kPackMinRows rows): C[i][jbegin..jend) for the m rows of one
+/// row block, one double accumulator per element starting at row_init[i]
+/// (or 0), k ascending, one rounding to float — bitwise-identical to the
+/// scalar micro_kernel and to tensor::reference. 4x8 tiles of two 4-lane
+/// double accumulators per row; B-panels are packed per call from this
+/// thread's ScratchArena. Safe to run inside one parallel task (touches only
+/// its own rows and columns).
 void gemm_packed_exact(const float* a, int lda, const float* b, int ldb,
                        detail::BLayout layout, int m, int k,
                        const float* row_init, float* c, int ldc, int jbegin,
                        int jend);
 
-/// Fast-mode analogue of the scalar gemm_columns: computes
-/// C[i][jbegin..jend) for every row i with fp32 FMA accumulation,
+/// Fast-mode analogues of ops.cpp's packed and few-row GEMM cases: compute
+/// C[i][jbegin..jend) for every row i < m with fp32 FMA accumulation,
 /// k ascending. `row_init` may be null (zero init) or m per-row initial
-/// values (conv bias). Packs B-panels from this thread's ScratchArena; safe
-/// to run inside one parallel task (touches only its own columns).
-void gemm_columns_f32(const float* a, int lda, const float* b, int ldb,
-                      detail::BLayout layout, int m, int k,
-                      const float* row_init, float* c, int ldc, int jbegin,
-                      int jend);
+/// values (conv bias). The caller picks one from the whole GEMM's row count
+/// (packed when it is >= kPackMinRows), so every row block of one GEMM runs
+/// the same one. gemm_packed_f32 packs B-panels from this thread's
+/// ScratchArena. Both are safe to run inside one parallel task (they touch
+/// only their own rows and columns).
+void gemm_packed_f32(const float* a, int lda, const float* b, int ldb,
+                     detail::BLayout layout, int m, int k,
+                     const float* row_init, float* c, int ldc, int jbegin,
+                     int jend);
+void gemm_few_rows_f32(const float* a, int lda, const float* b, int ldb,
+                       detail::BLayout layout, int m, int k,
+                       const float* row_init, float* c, int ldc, int jbegin,
+                       int jend);
 
 /// One depthwise-convolution output plane (single batch, single channel):
 /// out[ho*wo] from plane[h*w] and the channel's k*k taps, (ky,kx) ascending

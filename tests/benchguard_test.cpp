@@ -153,6 +153,39 @@ TEST(PerfSuite, EndToEndCompareExitCodes) {
   std::filesystem::remove_all(baseline);
 }
 
+TEST(PerfSuite, CreatesMissingOutDir) {
+  const std::string root = temp_dir("cadmc_benchguard_new_out");
+  const std::string out = root + "/not/yet/there";
+  ASSERT_FALSE(std::filesystem::exists(out));
+  PerfSuiteConfig config;
+  config.repetitions = 2;
+  config.warmup = 0;
+  config.filter = "span_overhead_disabled";
+  config.out_dir = out;
+  config.quiet = true;
+  EXPECT_EQ(run_perf_suite(config), 0);
+  EXPECT_TRUE(
+      std::filesystem::exists(out + "/BENCH_span_overhead_disabled.json"));
+  std::filesystem::remove_all(root);
+}
+
+TEST(PerfSuite, UncreatableOutDirFailsBeforeRunning) {
+  // A regular file where a parent directory should be: create_directories
+  // fails, and the suite exits 2 before it measures anything.
+  const std::string root = temp_dir("cadmc_benchguard_blocked_out");
+  const std::string file = root + "/file";
+  std::ofstream(file) << "x";
+  PerfSuiteConfig config;
+  config.filter = "span_overhead_disabled";
+  config.out_dir = file + "/sub";
+  config.quiet = true;
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_perf_suite(config), 2);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("cannot create"),
+            std::string::npos);
+  std::filesystem::remove_all(root);
+}
+
 TEST(PerfSuite, UnknownFilterFailsLoudly) {
   PerfSuiteConfig config;
   config.filter = "no_such_benchmark";
