@@ -63,8 +63,7 @@ int main() {
       latency::ComputeLatencyModel(latency::phone_profile()),
       latency::ComputeLatencyModel(latency::cloud_profile()), transfer);
   engine::StrategyEvaluator evaluator(
-      *base, std::move(pe), engine::AccuracyModel(0.9201, base->size(), 0xA52),
-      engine::RewardConfig{});
+      *base, std::move(pe), engine::AccuracyModel(0.9201, base->size(), 0xA52));
 
   util::AsciiTable table({"N blocks", "K forks", "Tree nodes", "Tree reward"});
   for (std::size_t blocks : {2u, 3u, 4u}) {

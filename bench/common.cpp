@@ -60,8 +60,7 @@ ContextArtifacts train_context(const net::EvalContext& context,
   art.evaluator = std::make_unique<engine::StrategyEvaluator>(
       *art.base, std::move(pe),
       engine::AccuracyModel(paper_base_accuracy(context.model),
-                            art.base->size(), scene_seed ^ 0xACC),
-      engine::RewardConfig{});
+                            art.base->size(), scene_seed ^ 0xACC));
 
   const auto fork_average = [&](const engine::Strategy& s) {
     double total = 0.0;

@@ -41,7 +41,7 @@ int main() {
   engine::StrategyEvaluator extended(
       *art.base, art.evaluator->partition_eval(),
       engine::AccuracyModel(0.9201, art.base->size(), 0xE17),
-      engine::RewardConfig{}, 0xE18, /*include_extensions=*/true);
+      0xE18, /*include_extensions=*/true);
   engine::BranchSearchConfig bc;
   bc.episodes = config.branch_episodes;
   bc.seed = 0xE19;

@@ -25,8 +25,7 @@ void run_base(const char* name, nn::Model base_model, util::AsciiTable& table) {
       latency::ComputeLatencyModel(latency::phone_profile()),
       latency::ComputeLatencyModel(latency::cloud_profile()), transfer);
   engine::StrategyEvaluator evaluator(
-      *base, std::move(pe), engine::AccuracyModel(0.90, base->size(), 0x6E5),
-      engine::RewardConfig{});
+      *base, std::move(pe), engine::AccuracyModel(0.90, base->size(), 0x6E5));
 
   const double median = trace.quantile(0.5);
   engine::Strategy surgery;

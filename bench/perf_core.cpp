@@ -182,8 +182,7 @@ struct SuiteContext {
         latency::ComputeLatencyModel(latency::phone_profile()),
         latency::ComputeLatencyModel(latency::cloud_profile()), transfer);
     evaluator = std::make_unique<engine::StrategyEvaluator>(
-        *base, pe, engine::AccuracyModel(0.8404, base->size(), 41),
-        engine::RewardConfig{});
+        *base, pe, engine::AccuracyModel(0.8404, base->size(), 41));
     net::TraceGeneratorParams params;
     params.mean_mbps = 8.0;
     params.volatility = 0.3;
@@ -328,8 +327,7 @@ PerfStats bench_parallel_search(const PerfSuiteConfig& config) {
       latency::ComputeLatencyModel(latency::phone_profile()),
       latency::ComputeLatencyModel(latency::cloud_profile()), transfer);
   const engine::StrategyEvaluator seed_evaluator(
-      base, pe, engine::AccuracyModel(0.8404, base.size(), 41),
-      engine::RewardConfig{});
+      base, pe, engine::AccuracyModel(0.8404, base.size(), 41));
   const std::vector<double> forks = {
       latency::mbps_to_bytes_per_ms(1.0), latency::mbps_to_bytes_per_ms(4.0),
       latency::mbps_to_bytes_per_ms(10.0), latency::mbps_to_bytes_per_ms(25.0)};
@@ -355,8 +353,7 @@ PerfStats bench_parallel_search(const PerfSuiteConfig& config) {
     // A fresh evaluator every repetition: the benchmark must time cold-cache
     // pricing of all 64 leaf trajectories, not sharded-cache hits.
     engine::StrategyEvaluator evaluator(
-        base, pe, engine::AccuracyModel(0.8404, base.size(), 41),
-        engine::RewardConfig{});
+        base, pe, engine::AccuracyModel(0.8404, base.size(), 41));
     tree::TreeSearch search(evaluator, boundaries, forks, tc);
     search.estimate_backward(tree);
   });

@@ -7,30 +7,29 @@
 
 namespace cadmc::engine {
 
-struct RewardConfig {
-  double acc_min = 0.50;      // minimal accuracy for normalization
-  double acc_max = 1.00;      // maximal accuracy
-  double lat_min_ms = 0.0;    // minimal latency
-  double lat_max_ms = 500.0;  // maximal latency
-  double acc_weight = 100.0;  // accuracy share of the total reward
-  double lat_weight = 300.0;  // latency share of the total reward
+inline constexpr double kRewardAccMin = 0.50;      // minimal accuracy
+inline constexpr double kRewardAccMax = 1.00;      // maximal accuracy
+inline constexpr double kRewardLatMinMs = 0.0;     // minimal latency
+inline constexpr double kRewardLatMaxMs = 500.0;   // maximal latency
+inline constexpr double kRewardAccWeight = 100.0;  // accuracy share of R
+inline constexpr double kRewardLatWeight = 300.0;  // latency share of R
 
-  /// N1: higher accuracy -> higher reward, clamped to [0, acc_weight].
-  double accuracy_reward(double accuracy) const {
-    const double n = (accuracy - acc_min) / (acc_max - acc_min);
-    return acc_weight * std::clamp(n, 0.0, 1.0);
-  }
+/// N1: higher accuracy -> higher reward, clamped to [0, kRewardAccWeight].
+inline double accuracy_reward(double accuracy) {
+  const double n = (accuracy - kRewardAccMin) / (kRewardAccMax - kRewardAccMin);
+  return kRewardAccWeight * std::clamp(n, 0.0, 1.0);
+}
 
-  /// N2: lower latency -> higher reward, clamped to [0, lat_weight].
-  double latency_reward(double latency_ms) const {
-    const double n = (lat_max_ms - latency_ms) / (lat_max_ms - lat_min_ms);
-    return lat_weight * std::clamp(n, 0.0, 1.0);
-  }
+/// N2: lower latency -> higher reward, clamped to [0, kRewardLatWeight].
+inline double latency_reward(double latency_ms) {
+  const double n =
+      (kRewardLatMaxMs - latency_ms) / (kRewardLatMaxMs - kRewardLatMinMs);
+  return kRewardLatWeight * std::clamp(n, 0.0, 1.0);
+}
 
-  /// Eqn. (7).
-  double reward(double accuracy, double latency_ms) const {
-    return accuracy_reward(accuracy) + latency_reward(latency_ms);
-  }
-};
+/// Eqn. (7).
+inline double reward(double accuracy, double latency_ms) {
+  return accuracy_reward(accuracy) + latency_reward(latency_ms);
+}
 
 }  // namespace cadmc::engine

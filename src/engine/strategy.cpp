@@ -62,13 +62,11 @@ RealizedStrategy realize_strategy(const nn::Model& base, const Strategy& s,
 StrategyEvaluator::StrategyEvaluator(const nn::Model& base,
                                      partition::PartitionEvaluator partition_eval,
                                      AccuracyModel accuracy_model,
-                                     RewardConfig reward_config,
                                      std::uint64_t seed,
                                      bool include_extensions)
     : base_(&base),
       partition_eval_(std::move(partition_eval)),
       accuracy_model_(std::move(accuracy_model)),
-      reward_config_(reward_config),
       registry_(/*faithful_weights=*/false, include_extensions),
       realize_seed_(seed) {
   base_boundary_bytes_ = base.boundary_bytes();
@@ -194,7 +192,7 @@ Evaluation StrategyEvaluator::evaluate_trajectory(
   }
   eval.latency_ms = eval.breakdown.total_ms();
   eval.accuracy = accuracy_model_.estimate(s.plan);
-  eval.reward = reward_config_.reward(eval.accuracy, eval.latency_ms);
+  eval.reward = reward(eval.accuracy, eval.latency_ms);
   if (memo_.insert(mk, eval)) count_cache("memo", "insert");
   return eval;
 }

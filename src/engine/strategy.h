@@ -69,14 +69,13 @@ class StrategyEvaluator {
   /// to the searchable catalog.
   StrategyEvaluator(const nn::Model& base,
                     partition::PartitionEvaluator partition_eval,
-                    AccuracyModel accuracy_model, RewardConfig reward_config,
+                    AccuracyModel accuracy_model,
                     std::uint64_t seed = 0xE7A1,
                     bool include_extensions = false);
 
   const nn::Model& base() const { return *base_; }
   const partition::PartitionEvaluator& partition_eval() const { return partition_eval_; }
   const AccuracyModel& accuracy_model() const { return accuracy_model_; }
-  const RewardConfig& reward_config() const { return reward_config_; }
   const compress::TechniqueRegistry& registry() const { return registry_; }
 
   /// Technique mask for base layer i when it sits on the edge slice
@@ -112,7 +111,6 @@ class StrategyEvaluator {
   const nn::Model* base_;
   partition::PartitionEvaluator partition_eval_;
   AccuracyModel accuracy_model_;
-  RewardConfig reward_config_;
   compress::TechniqueRegistry registry_;  // structural (faithful = false)
   std::vector<std::int64_t> base_boundary_bytes_;
   std::vector<double> cloud_prefix_ms_;  // prefix sums of base cloud latency

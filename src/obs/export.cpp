@@ -158,25 +158,6 @@ std::string render_report(const RunReport& report) {
   return out.str();
 }
 
-std::string report_csv(const RunReport& report) {
-  std::ostringstream out;
-  out << "kind,name,count,value,sum,min,max,p50,p90,p99\n";
-  for (const auto& [name, v] : report.counters)
-    out << "counter," << csv_escape(name) << ",," << v << ",,,,,,\n";
-  for (const auto& [name, v] : report.gauges)
-    out << "gauge," << csv_escape(name) << ",," << num_g6(v) << ",,,,,,\n";
-  for (const auto& [name, h] : report.histograms)
-    out << "histogram," << csv_escape(name) << "," << h.count << ",,"
-        << num_g6(h.sum) << "," << num_g6(h.min) << "," << num_g6(h.max) << ","
-        << num_g6(h.p50) << "," << num_g6(h.p90) << "," << num_g6(h.p99)
-        << "\n";
-  for (const auto& [name, s] : report.profile.by_name)
-    out << "span," << csv_escape(name) << "," << s.count << ","
-        << num_g6(s.total_modelled_ms) << "," << num_g6(s.total_wall_ms)
-        << ",,,,,\n";
-  return out.str();
-}
-
 std::string to_jsonl(const MetricsRegistry& registry) {
   std::ostringstream out;
   for (const auto& [name, v] : registry.counter_values())

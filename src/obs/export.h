@@ -35,9 +35,6 @@ RunReport make_report(const MetricsRegistry& registry);
 /// the first instance) and Traces (spans, root, root ms, total wall ms).
 std::string render_report(const RunReport& report);
 
-/// Renders the report as CSV rows: kind,name,count,value,sum,min,max,p50,p90,p99.
-std::string report_csv(const RunReport& report);
-
 /// One JSONL line per metric and span. Example lines:
 ///   {"type":"counter","name":"cadmc.search.episodes","value":150}
 ///   {"type":"span","name":"compose","id":4,"parent":3,"depth":1,
@@ -84,7 +81,7 @@ std::string json_escape(const std::string& s);
 
 /// RFC 4180 field escaping: a value containing a comma, double quote, CR or
 /// LF is wrapped in double quotes with inner quotes doubled; anything else
-/// passes through unchanged. Applied to every name report_csv emits so a
+/// passes through unchanged. Applied to every name profile_csv emits so a
 /// hostile span name ("conv,3x3" or a name with a newline) cannot desync the
 /// CSV columns.
 std::string csv_escape(const std::string& s);

@@ -229,7 +229,6 @@ void MetricsRegistry::reset() {
   ring_.clear();
 }
 
-#ifndef CADMC_OBS_DISABLED
 void count(std::string_view name, std::int64_t n) {
   if (!enabled()) return;
   MetricsRegistry::global().count(std::string(name), n);
@@ -244,6 +243,5 @@ void set_gauge(std::string_view name, double v) {
   if (!enabled()) return;
   MetricsRegistry::global().set_gauge(std::string(name), v);
 }
-#endif
 
 }  // namespace cadmc::obs

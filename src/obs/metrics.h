@@ -7,9 +7,8 @@
 // MetricsRegistry is only ever a reader's input (exporters, reports, tests).
 //
 // Cost model: every instrumentation site is gated by the runtime flag
-// `obs::enabled()` (one relaxed atomic load when off) and the whole layer can
-// be compiled out with -DCADMC_OBS_DISABLED, so the Table I/IV latency
-// numbers are unaffected by the disabled path.
+// `obs::enabled()` (one relaxed atomic load when off), so the Table I/IV
+// latency numbers are unaffected by the disabled path.
 #pragma once
 
 #include <atomic>
@@ -237,7 +236,6 @@ class MetricsRegistry {
   FlightRecorder ring_{kMaxSpans};
 };
 
-#ifndef CADMC_OBS_DISABLED
 /// The producers' recording calls: they write the global registry while
 /// obs::enabled() and are no-ops otherwise. The name is copied into a
 /// std::string only when the call records, so a disabled call allocates
@@ -245,10 +243,5 @@ class MetricsRegistry {
 void count(std::string_view name, std::int64_t n = 1);
 void observe(std::string_view name, double v);
 void set_gauge(std::string_view name, double v);
-#else
-inline void count(std::string_view, std::int64_t = 1) {}
-inline void observe(std::string_view, double) {}
-inline void set_gauge(std::string_view, double) {}
-#endif
 
 }  // namespace cadmc::obs

@@ -13,8 +13,7 @@
 //
 // Spans are inert (no clock read, no allocation — the name parameter is a
 // `const char*` precisely so no std::string is materialised) while both
-// obs::enabled() and obs::flight_recording() are false, and the CADMC_SPAN
-// macro compiles away under -DCADMC_OBS_DISABLED.
+// obs::enabled() and obs::flight_recording() are false.
 #pragma once
 
 #include <cstdint>
@@ -104,14 +103,10 @@ std::uint64_t record_external_span(
     double start_ms, double wall_ms, int depth = 0,
     FlightEventKind flight_kind = FlightEventKind::kSpan);
 
-#ifndef CADMC_OBS_DISABLED
 #define CADMC_SPAN_CONCAT2(a, b) a##b
 #define CADMC_SPAN_CONCAT(a, b) CADMC_SPAN_CONCAT2(a, b)
 /// Anonymous span covering the rest of the enclosing scope.
 #define CADMC_SPAN(name) \
   ::cadmc::obs::ScopedSpan CADMC_SPAN_CONCAT(cadmc_span_, __LINE__)(name)
-#else
-#define CADMC_SPAN(name) ((void)0)
-#endif
 
 }  // namespace cadmc::obs

@@ -12,24 +12,16 @@ DecisionEngine::DecisionEngine(nn::Model base, EngineConfig config)
     : base_(std::move(base)),
       config_(std::move(config)),
       rule_(config_.breaker, /*deadline_ms=*/0.0, /*edge_fallback=*/true) {
-  if (config_.num_forks < 1)
-    throw std::invalid_argument("DecisionEngine: num_forks < 1");
   trace_ = net::generate_trace(config_.scene.trace, config_.trace_duration_ms,
                                config_.trace_seed);
   boundaries_ = nn::block_boundaries(base_, config_.num_blocks);
 
-  // K bandwidth types from the trace quantiles; K = 2 uses the lower and
-  // upper quartiles for 'poor' and 'good' (Sec. VII setup).
-  if (config_.num_forks == 2) {
-    fork_bandwidths_ = {trace_.quantile(0.25), trace_.quantile(0.75)};
-  } else {
-    for (int k = 0; k < config_.num_forks; ++k)
-      fork_bandwidths_.push_back(
-          trace_.quantile((k + 0.5) / config_.num_forks));
-  }
-  for (std::size_t i = 1; i < fork_bandwidths_.size(); ++i)
-    if (fork_bandwidths_[i] <= fork_bandwidths_[i - 1])
-      fork_bandwidths_[i] = fork_bandwidths_[i - 1] * 1.01;
+  // K = 2 bandwidth types, 'poor' and 'good', at the trace's lower and upper
+  // quartiles (Sec. VII setup); a flat trace still gets strictly increasing
+  // fork bandwidths.
+  fork_bandwidths_ = {trace_.quantile(0.25), trace_.quantile(0.75)};
+  if (fork_bandwidths_[1] <= fork_bandwidths_[0])
+    fork_bandwidths_[1] = fork_bandwidths_[0] * 1.01;
 
   latency::TransferModel transfer;
   transfer.rtt_ms = config_.scene.rtt_ms;
@@ -40,8 +32,7 @@ DecisionEngine::DecisionEngine(nn::Model base, EngineConfig config)
   evaluator_ = std::make_unique<engine::StrategyEvaluator>(
       base_, std::move(pe),
       engine::AccuracyModel(config_.base_accuracy, base_.size(),
-                            config_.trace_seed ^ 0xACC),
-      config_.reward_config);
+                            config_.trace_seed ^ 0xACC));
 }
 
 void DecisionEngine::train_offline() {

@@ -1,6 +1,6 @@
 // DecisionEngine — the library's top-level facade (Fig. 2). Offline, it
-// generates the scene's bandwidth trace, derives the K bandwidth types from
-// its quartiles, trains the RL controllers, produces the context-aware
+// generates the scene's bandwidth trace, derives the K = 2 bandwidth types
+// from its quartiles, trains the RL controllers, produces the context-aware
 // model tree and realizes its paths with faithful weights. Online, it
 // composes a DNN from the tree per Alg. 2 at each inference and runs the
 // pre-realized path on real tensors.
@@ -22,11 +22,9 @@ struct EngineConfig {
   net::Scene scene;                        // network context to train for
   double base_accuracy = 0.9201;           // accuracy of the base DNN
   std::size_t num_blocks = 3;              // N
-  int num_forks = 2;                       // K
   double trace_duration_ms = 60'000.0;
   std::uint64_t trace_seed = 0x7A2CE;
   tree::TreeSearchConfig tree_config;
-  engine::RewardConfig reward_config;
   // Fault tolerance: when the composed strategy offloads but the estimated
   // bandwidth at the cut is at/below kDeadLinkBandwidth, or the cloud
   // breaker is open, infer() degrades to the all-edge branch of the tree

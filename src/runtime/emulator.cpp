@@ -114,7 +114,7 @@ RunStats InferenceRunner::summarize(const std::vector<Strategy>& strategies,
     const double acc = evaluator_->accuracy_model().estimate(strategies[i].plan);
     stats.mean_latency_ms += latencies[i];
     stats.mean_accuracy += acc;
-    stats.mean_reward += evaluator_->reward_config().reward(acc, latencies[i]);
+    stats.mean_reward += engine::reward(acc, latencies[i]);
   }
   if (stats.inferences > 0) {
     stats.mean_latency_ms /= stats.inferences;
@@ -136,7 +136,7 @@ RunStats InferenceRunner::run_frames(const char* policy, unsigned rng_salt,
                                      const EdgeLeg& edge_leg) const {
   std::vector<Strategy> strategies;
   std::vector<double> latencies;
-  OffloadRule rule(config_.breaker, config_.cloud_deadline_ms,
+  OffloadRule rule(CircuitBreakerConfig{}, config_.cloud_deadline_ms,
                    config_.edge_fallback);
   const double staleness =
       kEstimatorStalenessMs +

@@ -64,7 +64,6 @@ struct RunnerConfig {
   // fallback disabled a miss is a failed inference and availability drops.
   double cloud_deadline_ms = 0.0;   // 0 = no deadline
   bool edge_fallback = true;
-  CircuitBreakerConfig breaker;
   // Optional chaos source (not owned): compute stragglers inflate block
   // latency on top of the field-mode lognormal noise.
   FaultInjector* injector = nullptr;

@@ -58,8 +58,6 @@ struct Gateway::Connection {
 
 /// Per-session gateway state (keyed by FrameMeta::session_id != 0).
 struct Gateway::Session {
-  explicit Session(const CircuitBreakerConfig& config) : breaker(config) {}
-
   double last_active_ms = 0.0;
   // Duplicate short-circuit: the reply target of each inflight sequence
   // (a retry re-points it at the new connection), plus the last completed
@@ -352,7 +350,7 @@ void Gateway::on_readable(const std::shared_ptr<Connection>& conn) {
     std::size_t consumed = 0;
     const ParseResult result = parse_frame(
         conn->rx.data() + offset, conn->rx.size() - offset, &consumed, payload,
-        &trace, &meta, config_.max_frame_bytes);
+        &trace, &meta);
     if (result == ParseResult::kBad) {
       drop_connection(conn);
       return;
@@ -379,7 +377,7 @@ void Gateway::admit(const std::shared_ptr<Connection>& conn, Blob payload,
     std::lock_guard<std::mutex> lock(mutex_);
     Session* session = nullptr;
     if (meta.session_id != 0) {
-      session = &sessions_.try_emplace(meta.session_id, config_.breaker)
+      session = &sessions_.try_emplace(meta.session_id)
                      .first->second;
       session->last_active_ms = now;
     }

@@ -95,10 +95,8 @@ struct GatewayConfig {
   int max_connections = 512;      // beyond this, accepts are counted + closed
   std::size_t max_queue = 64;     // admission-queue bound
   int max_inflight_per_session = 4;
-  std::size_t max_frame_bytes = std::size_t{1} << 31;
   double idle_session_ms = 30'000.0;  // reap session state after this idle
   double drain_ms = 1'000.0;          // graceful-drain budget in stop()
-  CircuitBreakerConfig breaker;       // per-session handler breaker
 };
 
 class Gateway {

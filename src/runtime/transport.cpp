@@ -224,11 +224,9 @@ void TcpClient::connect(std::uint16_t port, TcpClientConfig config) {
   close();
   port_ = port;
   config_ = config;
-  // Deterministic per-client jitter stream: an explicit seed wins; otherwise
-  // derive from the session id so co-failing sessions de-synchronize.
-  std::uint64_t seed = config.jitter_seed != 0
-                           ? config.jitter_seed
-                           : 0x9E3779B97F4A7C15ULL ^ (config.session_id + 1);
+  // Deterministic per-client jitter stream derived from the session id, so
+  // co-failing sessions de-synchronize.
+  std::uint64_t seed = 0x9E3779B97F4A7C15ULL ^ (config.session_id + 1);
   jitter_rng_ = util::Rng(util::splitmix64(seed));
   if (!reconnect()) throw std::runtime_error("TcpClient: connect() failed");
 }

@@ -75,8 +75,6 @@ struct TcpClientConfig {
   double backoff_ms = 10.0;     // base retry backoff (decorrelated jitter)
   double backoff_max_ms = 500.0;
   std::uint64_t session_id = 0;    // stamped into every request frame
-  std::uint64_t jitter_seed = 0;   // 0 = derived from session_id; fixing it
-                                   // makes the backoff schedule reproducible
   double deadline_budget_ms = -1.0;  // budget stamped on requests;
                                      // < 0 = use timeout_ms
 };

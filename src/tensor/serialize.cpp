@@ -1,7 +1,6 @@
 #include "tensor/serialize.h"
 
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 
 namespace cadmc::tensor {
@@ -63,24 +62,6 @@ Tensor decode_tensor(const std::vector<std::uint8_t>& buf, std::size_t& offset) 
   if (bytes) std::memcpy(values.data(), buf.data() + offset, bytes);
   offset += bytes;
   return Tensor(std::move(shape), std::move(values));
-}
-
-bool save_tensor(const Tensor& t, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  const auto buf = encode_tensor(t);
-  out.write(reinterpret_cast<const char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
-  return static_cast<bool>(out);
-}
-
-Tensor load_tensor(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_tensor: cannot open " + path);
-  std::vector<std::uint8_t> buf((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  std::size_t offset = 0;
-  return decode_tensor(buf, offset);
 }
 
 }  // namespace cadmc::tensor

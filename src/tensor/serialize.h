@@ -3,8 +3,6 @@
 // model checkpointing.
 #pragma once
 
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -18,9 +16,5 @@ std::vector<std::uint8_t> encode_tensor(const Tensor& t);
 /// Decodes one tensor starting at `offset`; advances offset past it.
 /// Throws std::runtime_error on malformed input.
 Tensor decode_tensor(const std::vector<std::uint8_t>& buf, std::size_t& offset);
-
-bool save_tensor(const Tensor& t, const std::string& path);
-/// Throws std::runtime_error if the file is missing or malformed.
-Tensor load_tensor(const std::string& path);
 
 }  // namespace cadmc::tensor

@@ -28,7 +28,7 @@ ModelTree::ModelTree(const nn::Model& base, std::vector<std::size_t> boundaries,
 }
 
 int ModelTree::classify(double bandwidth_bytes_per_ms) const {
-  const int k = num_forks();
+  const int k = fork_count();
   for (int fork = 0; fork + 1 < k; ++fork) {
     const double threshold = std::sqrt(fork_bandwidths_[static_cast<std::size_t>(fork)] *
                                        fork_bandwidths_[static_cast<std::size_t>(fork) + 1]);
@@ -43,7 +43,7 @@ void build_none_subtree(TreeNode& node, const ModelTree& tree) {
   node.block_plan.assign(node.cut_local, TechniqueId::kNone);
   node.children.clear();
   if (node.depth + 1 < tree.num_blocks()) {
-    for (int k = 0; k < tree.num_forks(); ++k) {
+    for (int k = 0; k < tree.fork_count(); ++k) {
       TreeNode child;
       child.depth = node.depth + 1;
       child.fork = k;
@@ -57,7 +57,7 @@ void build_none_subtree(TreeNode& node, const ModelTree& tree) {
 /// node (a previous graft may have partitioned and pruned here).
 void ensure_children(TreeNode& node, const ModelTree& tree) {
   if (!node.children.empty() || node.depth + 1 >= tree.num_blocks()) return;
-  for (int k = 0; k < tree.num_forks(); ++k) {
+  for (int k = 0; k < tree.fork_count(); ++k) {
     TreeNode child;
     child.depth = node.depth + 1;
     child.fork = k;
@@ -70,7 +70,7 @@ void ensure_children(TreeNode& node, const ModelTree& tree) {
 void ModelTree::reset() {
   root_ = TreeNode{};
   root_.depth = 0;  // virtual root; children are the depth-0 variants
-  for (int k = 0; k < num_forks(); ++k) {
+  for (int k = 0; k < fork_count(); ++k) {
     TreeNode child;
     child.depth = 0;
     child.fork = k;

@@ -48,7 +48,7 @@ class ModelTree {
 
   const nn::Model& base() const { return *base_; }
   std::size_t num_blocks() const { return edges_.size() - 1; }
-  int num_forks() const { return static_cast<int>(fork_bandwidths_.size()); }
+  int fork_count() const { return static_cast<int>(fork_bandwidths_.size()); }
   const std::vector<double>& fork_bandwidths() const { return fork_bandwidths_; }
   /// Block j spans base layers [block_begin(j), block_end(j)).
   std::size_t block_begin(std::size_t j) const { return edges_.at(j); }

@@ -149,7 +149,7 @@ void TreeSearch::estimate_backward(ModelTree& tree) const {
 
 double TreeSearch::tree_expected_reward(const ModelTree& tree) const {
   const std::size_t num_blocks = tree.num_blocks();
-  const double k = static_cast<double>(tree.num_forks());
+  const double k = static_cast<double>(tree.fork_count());
   const auto paths = tree.all_paths();
   std::vector<double> rewards(paths.size(), 0.0);
   util::parallel_for(paths.size(), [&](std::size_t i) {

@@ -35,31 +35,35 @@ partition::PartitionEvaluator make_pe(const char* device = "phone",
 }
 
 TEST(Reward, NormalizationBounds) {
-  RewardConfig cfg;
-  EXPECT_DOUBLE_EQ(cfg.reward(1.0, 0.0), 400.0);
-  EXPECT_DOUBLE_EQ(cfg.reward(0.5, 500.0), 0.0);
-  EXPECT_DOUBLE_EQ(cfg.reward(0.3, 700.0), 0.0);  // clamped
-  EXPECT_DOUBLE_EQ(cfg.reward(1.2, -5.0), 400.0); // clamped
+  EXPECT_DOUBLE_EQ(reward(1.0, 0.0), 400.0);
+  EXPECT_DOUBLE_EQ(reward(0.5, 500.0), 0.0);
+  EXPECT_DOUBLE_EQ(reward(0.3, 700.0), 0.0);  // clamped
+  EXPECT_DOUBLE_EQ(reward(1.2, -5.0), 400.0); // clamped
+  // N1 spans [0, 100] over accuracy [50%, 100%], N2 [0, 300] over
+  // latency [500 ms, 0 ms].
+  EXPECT_DOUBLE_EQ(accuracy_reward(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(accuracy_reward(1.0), 100.0);
+  EXPECT_DOUBLE_EQ(latency_reward(500.0), 0.0);
+  EXPECT_DOUBLE_EQ(latency_reward(0.0), 300.0);
 }
 
 TEST(Reward, PaperTableIvExample) {
   // Table IV, VGG11 phone "4G indoor static", Surgery: accuracy 92.01%,
   // latency 80.62 ms => reward 335.65.
-  RewardConfig cfg;
-  EXPECT_NEAR(cfg.reward(0.9201, 80.62), 335.65, 0.05);
+  EXPECT_NEAR(reward(0.9201, 80.62), 335.65, 0.05);
 }
 
 TEST(Reward, MonotoneInBothArguments) {
-  RewardConfig cfg;
-  EXPECT_GT(cfg.reward(0.92, 50.0), cfg.reward(0.90, 50.0));
-  EXPECT_GT(cfg.reward(0.92, 50.0), cfg.reward(0.92, 60.0));
+  EXPECT_GT(reward(0.92, 50.0), reward(0.90, 50.0));
+  EXPECT_GT(reward(0.92, 50.0), reward(0.92, 60.0));
 }
 
 TEST(Reward, OneMsWorthHalfAPointOfAccuracy) {
   // With the paper's weights, 1% accuracy = 2 points and 1 ms = 0.6 points.
-  RewardConfig cfg;
-  EXPECT_NEAR(cfg.reward(0.93, 100.0) - cfg.reward(0.92, 100.0), 2.0, 1e-9);
-  EXPECT_NEAR(cfg.reward(0.92, 99.0) - cfg.reward(0.92, 100.0), 0.6, 1e-9);
+  EXPECT_NEAR(accuracy_reward(0.93) - accuracy_reward(0.92), 2.0, 1e-9);
+  EXPECT_NEAR(latency_reward(99.0) - latency_reward(100.0), 0.6, 1e-9);
+  EXPECT_NEAR(reward(0.93, 100.0) - reward(0.92, 100.0), 2.0, 1e-9);
+  EXPECT_NEAR(reward(0.92, 99.0) - reward(0.92, 100.0), 0.6, 1e-9);
 }
 
 TEST(AccuracyModel, NoCompressionIsBaseAccuracy) {
@@ -158,8 +162,7 @@ class StrategyFixture : public ::testing::Test {
  protected:
   StrategyFixture()
       : base_(nn::make_alexnet()),
-        evaluator_(base_, make_pe(), AccuracyModel(0.8404, base_.size(), 11),
-                   RewardConfig{}) {}
+        evaluator_(base_, make_pe(), AccuracyModel(0.8404, base_.size(), 11)) {}
 
   nn::Model base_;
   StrategyEvaluator evaluator_;

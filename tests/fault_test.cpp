@@ -555,8 +555,7 @@ class RunnerFaultFixture : public ::testing::Test {
       : base_(nn::make_alexnet()),
         boundaries_(nn::block_boundaries(base_, 3)),
         evaluator_(base_, make_pe(),
-                   engine::AccuracyModel(0.8404, base_.size(), 41),
-                   engine::RewardConfig{}) {}
+                   engine::AccuracyModel(0.8404, base_.size(), 41)) {}
 
   static partition::PartitionEvaluator make_pe() {
     latency::TransferModel transfer;

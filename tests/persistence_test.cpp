@@ -95,7 +95,7 @@ TEST_F(TreeIoFixture, EncodeDecodePreservesAllPaths) {
   const tree::ModelTree decoded =
       tree::decode_tree(base_, tree::encode_tree(original));
   ASSERT_EQ(decoded.num_blocks(), original.num_blocks());
-  ASSERT_EQ(decoded.num_forks(), original.num_forks());
+  ASSERT_EQ(decoded.fork_count(), original.fork_count());
   const auto paths = original.all_paths();
   ASSERT_EQ(decoded.all_paths().size(), paths.size());
   for (const auto& path : paths) {

@@ -37,8 +37,7 @@ partition::PartitionEvaluator make_pe() {
 TEST(StructuralPricing, MatchesFaithfulRealization) {
   const nn::Model base = nn::make_alexnet();
   engine::StrategyEvaluator evaluator(
-      base, make_pe(), engine::AccuracyModel(0.84, base.size(), 91),
-      engine::RewardConfig{});
+      base, make_pe(), engine::AccuracyModel(0.84, base.size(), 91));
   compress::TechniqueRegistry faithful(true);
   const auto space = engine::make_strategy_space(evaluator);
   util::Rng rng(92);
@@ -63,8 +62,7 @@ TEST(StructuralPricing, MatchesFaithfulRealization) {
 TEST(StructuralPricing, RealizedModelAlwaysRunnable) {
   const nn::Model base = nn::make_vgg11();
   engine::StrategyEvaluator evaluator(
-      base, make_pe(), engine::AccuracyModel(0.92, base.size(), 93),
-      engine::RewardConfig{});
+      base, make_pe(), engine::AccuracyModel(0.92, base.size(), 93));
   compress::TechniqueRegistry faithful(true);
   const auto space = engine::make_strategy_space(evaluator);
   util::Rng rng(94);
@@ -168,8 +166,7 @@ TEST_P(SceneSweep, SurgeryEmulationBounded) {
       latency::ComputeLatencyModel(latency::profile_by_name(device)),
       latency::ComputeLatencyModel(latency::cloud_profile()), transfer);
   engine::StrategyEvaluator evaluator(
-      base, std::move(pe), engine::AccuracyModel(0.84, base.size(), 99),
-      engine::RewardConfig{});
+      base, std::move(pe), engine::AccuracyModel(0.84, base.size(), 99));
   const auto trace = net::generate_trace(scene.trace, 20'000.0, 100);
   runtime::RunnerConfig rc;
   rc.inferences = 6;

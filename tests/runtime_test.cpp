@@ -128,8 +128,7 @@ class RunnerFixture : public ::testing::Test {
       : base_(nn::make_alexnet()),
         boundaries_(nn::block_boundaries(base_, 3)),
         evaluator_(base_, make_pe(),
-                   engine::AccuracyModel(0.8404, base_.size(), 41),
-                   engine::RewardConfig{}) {}
+                   engine::AccuracyModel(0.8404, base_.size(), 41)) {}
 
   static partition::PartitionEvaluator make_pe() {
     latency::TransferModel transfer;
@@ -342,7 +341,10 @@ TEST(DecisionEngineFacade, EndToEndTinyConfiguration) {
   engine.train_offline();
   ASSERT_TRUE(engine.trained());
   EXPECT_GT(engine.search_result().tree_reward, 0.0);
-  ASSERT_EQ(engine.fork_bandwidths().size(), 2u);
+  // K = 2: 'poor' and 'good' sit at the trace's lower and upper quartiles.
+  EXPECT_EQ(engine.fork_bandwidths(),
+            (std::vector<double>{engine.trace().quantile(0.25),
+                                 engine.trace().quantile(0.75)}));
   EXPECT_LT(engine.fork_bandwidths()[0], engine.fork_bandwidths()[1]);
 
   data::SynthCifar dataset(32, 10, 60);

@@ -24,7 +24,6 @@ namespace {
 using compress::TechniqueId;
 using engine::AccuracyModel;
 using engine::Evaluation;
-using engine::RewardConfig;
 using engine::Strategy;
 using engine::StrategyEvaluator;
 using tree::ModelTree;
@@ -60,8 +59,7 @@ class SearchFixture : public ::testing::Test {
   SearchFixture()
       : base_(nn::make_alexnet()),
         boundaries_(nn::block_boundaries(base_, 3)),
-        evaluator_(base_, make_pe(), AccuracyModel(0.8404, base_.size(), 21),
-                   RewardConfig{}) {}
+        evaluator_(base_, make_pe(), AccuracyModel(0.8404, base_.size(), 21)) {}
 
   TreeSearchConfig small_config() const {
     TreeSearchConfig config;
@@ -76,8 +74,7 @@ class SearchFixture : public ::testing::Test {
     // A fresh evaluator per run: the runs must agree because evaluation is
     // deterministic, not because one run warmed the other's caches.
     StrategyEvaluator evaluator(base_, make_pe(),
-                                AccuracyModel(0.8404, base_.size(), 21),
-                                RewardConfig{});
+                                AccuracyModel(0.8404, base_.size(), 21));
     TreeSearch search(evaluator, boundaries_, {100.0, 500.0}, small_config());
     return search.run();
   }
@@ -171,8 +168,7 @@ TEST_F(SearchFixture, ShardedCacheStressEightThreads) {
   // hits. Run under TSan via the CI thread-sanitize job.
   ThreadsGuard guard(8);
   StrategyEvaluator fresh(base_, make_pe(),
-                          AccuracyModel(0.8404, base_.size(), 21),
-                          RewardConfig{});
+                          AccuracyModel(0.8404, base_.size(), 21));
   constexpr std::size_t kRounds = 8;
   const std::size_t tasks = strategies.size() * kRounds;
   std::vector<double> got(tasks);
@@ -201,11 +197,9 @@ TEST_F(SearchFixture, EvaluationIndependentOfCallOrder) {
   b = engine::sanitize_strategy(evaluator_, b);
 
   StrategyEvaluator ab(base_, make_pe(),
-                       AccuracyModel(0.8404, base_.size(), 21),
-                       RewardConfig{});
+                       AccuracyModel(0.8404, base_.size(), 21));
   StrategyEvaluator ba(base_, make_pe(),
-                       AccuracyModel(0.8404, base_.size(), 21),
-                       RewardConfig{});
+                       AccuracyModel(0.8404, base_.size(), 21));
   const Evaluation a_first = ab.evaluate(a, 250.0);
   const Evaluation b_second = ab.evaluate(b, 250.0);
   const Evaluation b_first = ba.evaluate(b, 250.0);
@@ -280,8 +274,7 @@ TEST_F(SearchFixture, CacheMetricsCountHitsMissesInserts) {
   const std::int64_t insert_before = counter_value("cadmc.eval.cache.memo.insert");
 
   StrategyEvaluator fresh(base_, make_pe(),
-                          AccuracyModel(0.8404, base_.size(), 21),
-                          RewardConfig{});
+                          AccuracyModel(0.8404, base_.size(), 21));
   Strategy s;
   s.cut = base_.size();
   s.plan.assign(base_.size(), TechniqueId::kNone);

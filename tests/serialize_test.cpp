@@ -1,5 +1,5 @@
 // Tensor binary codec tests: round-trips, multi-tensor streams, malformed
-// input rejection, file I/O.
+// input rejection.
 #include <gtest/gtest.h>
 
 #include "tensor/serialize.h"
@@ -72,20 +72,6 @@ TEST(Serialize, AbsurdRankRejected) {
              reinterpret_cast<const std::uint8_t*>(&rank) + 4);
   std::size_t offset = 0;
   EXPECT_THROW(decode_tensor(buf, offset), std::runtime_error);
-}
-
-TEST(Serialize, FileRoundTrip) {
-  util::Rng rng(2);
-  const Tensor t = Tensor::randn({3, 7}, rng);
-  const std::string path = "/tmp/cadmc_tensor_test.bin";
-  ASSERT_TRUE(save_tensor(t, path));
-  const Tensor back = load_tensor(path);
-  EXPECT_EQ(back.shape(), t.shape());
-  EXPECT_EQ(Tensor::max_abs_diff(back, t), 0.0f);
-}
-
-TEST(Serialize, MissingFileThrows) {
-  EXPECT_THROW(load_tensor("/tmp/cadmc_missing_tensor.bin"), std::runtime_error);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ namespace {
 
 using compress::TechniqueId;
 using engine::AccuracyModel;
-using engine::RewardConfig;
 using engine::Strategy;
 using engine::StrategyEvaluator;
 
@@ -37,8 +36,7 @@ class TreeFixture : public ::testing::Test {
   TreeFixture()
       : base_(nn::make_alexnet()),
         boundaries_(nn::block_boundaries(base_, 3)),
-        evaluator_(base_, make_pe(), AccuracyModel(0.8404, base_.size(), 21),
-                   RewardConfig{}) {}
+        evaluator_(base_, make_pe(), AccuracyModel(0.8404, base_.size(), 21)) {}
 
   ModelTree make_tree() const {
     return ModelTree(base_, boundaries_, {100.0, 500.0});
@@ -52,7 +50,7 @@ class TreeFixture : public ::testing::Test {
 TEST_F(TreeFixture, StructureAfterReset) {
   ModelTree tree = make_tree();
   EXPECT_EQ(tree.num_blocks(), 3u);
-  EXPECT_EQ(tree.num_forks(), 2);
+  EXPECT_EQ(tree.fork_count(), 2);
   EXPECT_EQ(tree.root().children.size(), 2u);
   // Complete K=2 tree of depth 3: 2 + 4 + 8 nodes below the virtual root.
   int count = 0;

@@ -19,8 +19,6 @@
 //                 [--outage-ms 800] [--deadline-ms 300] [--no-fallback]
 //                 [--fault-seed 64023]
 //   cadmc report  --metrics edge.jsonl,cloud.jsonl [--trace-out t.json]
-//   cadmc bench   [--filter transport] [--compare bench/baselines]
-//                 [--out-dir .] [--repetitions 30] [--threshold 0.15]
 //   cadmc serve   [--workers 2] [--backlog 64] [--max-queue 64]
 //                 [--max-inflight 4] [--duration-ms 2000]
 //
@@ -52,7 +50,6 @@
 #include <thread>
 
 #include "bench/common.h"
-#include "bench/perf_core.h"
 #include "data/synth_cifar.h"
 #include "engine/accuracy_model.h"
 #include "latency/compute_model.h"
@@ -502,18 +499,6 @@ int cmd_serve(const Flags& flags) {
   return 0;
 }
 
-int cmd_bench(const Flags& flags) {
-  bench::PerfSuiteConfig config;
-  config.out_dir = flag_or(flags, "out-dir", ".");
-  config.compare_dir = flag_or(flags, "compare", "");
-  config.filter = flag_or(flags, "filter", "");
-  config.repetitions = std::stoi(flag_or(flags, "repetitions", "30"));
-  config.warmup = std::stoi(flag_or(flags, "warmup", "5"));
-  config.episodes = std::stoi(flag_or(flags, "episodes", "12"));
-  config.threshold = std::stod(flag_or(flags, "threshold", "0.15"));
-  return bench::run_perf_suite(config);
-}
-
 void usage() {
   std::printf(
       "cadmc <command> [flags]\n"
@@ -536,9 +521,6 @@ void usage() {
       "  report  --metrics a.jsonl[,b.jsonl]  render saved metrics streams\n"
       "          [--trace-out trace.json]     (multiple files are merged by\n"
       "                                        trace id, e.g. edge + cloud)\n"
-      "  bench   [--filter SUBSTR] [--compare bench/baselines]\n"
-      "          [--out-dir DIR] [--repetitions N] [--warmup N]\n"
-      "          [--episodes N] [--threshold FRAC]   perf-regression guard\n"
       "  serve   [--workers N] [--backlog N] [--max-queue N]\n"
       "          [--max-inflight N] [--duration-ms MS]   run an echo gateway\n"
       "Any command also takes --threads <N> to size the search worker pool\n"
@@ -560,7 +542,6 @@ int dispatch(const std::string& command, const Flags& flags) {
   if (command == "compose") return cmd_compose(flags);
   if (command == "emulate") return cmd_emulate(flags);
   if (command == "report") return cmd_report(flags);
-  if (command == "bench") return cmd_bench(flags);
   if (command == "serve") return cmd_serve(flags);
   usage();
   return 2;
