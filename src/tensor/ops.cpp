@@ -10,15 +10,24 @@
 //    round every element exactly as tensor::reference does, because a
 //    float x float product is exact in double and each element still sums
 //    k ascending.
-//  * gemm_grid fans every GEMM out as one grid of (slice, kIBlock-row
-//    block, kJBlock-column block) tasks; a slice is one (batch, group) of a
-//    conv or the whole matrix of a matmul. Row blocks give a batch-1 conv
-//    with a small output map one task per 64 output channels. The packed
-//    vs few-rows choice stays keyed on the whole GEMM's m, so a ragged last
-//    row block runs the same kernels as the blocks before it.
-//  * conv2d lowers to im2col + GEMM per (batch, group); 1x1 stride-1
-//    unpadded convs skip the im2col copy entirely (the input already is the
-//    column matrix) and depthwise convs use a direct per-channel loop.
+//  * gemm_grid packs each GEMM's B panels once, in a parallel phase of
+//    (slice, row chunk of B) tasks, into the caller's arena: widened to
+//    double for the deterministic kernels, float for fast mode. It then
+//    fans the GEMM out as one grid of (slice, kIBlock-row block,
+//    kJBlock-column block) tasks that only read those panels; a slice is
+//    one (batch, group) of a conv or the whole matrix of a matmul. Row
+//    blocks give a batch-1 conv with a small output map one task per 32
+//    output channels. The packed vs few-rows choice stays keyed on the
+//    whole GEMM's m, so a ragged last row block runs the same kernels as
+//    the blocks before it.
+//  * conv2d lowers to im2col + GEMM per (batch, group). The forward's
+//    im2col runs inside the pack phase: each task first writes the im2col
+//    rows of its (slice, kIm2colChannels input channels) block, then packs
+//    them, so a batch-1 conv copies on every core without a fan-out of its
+//    own. conv2d_backward builds the same matrix with the same blocks.
+//    1x1 stride-1 unpadded convs skip the im2col copy entirely (the input
+//    already is the column matrix) and depthwise convs use a direct
+//    per-channel loop.
 //  * conv2d_backward computes dweight as a row-dot GEMM against the same
 //    column matrix, and dinput as W^T x grad_out into a double-precision
 //    dcol buffer followed by a col2im *gather* (each input element owns its
@@ -39,6 +48,7 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -59,6 +69,7 @@ using detail::kJBlock;
 using detail::kNR;
 using detail::kPackMinRows;
 using detail::kParallelMinMacc;
+using detail::kPackKBlock;
 using detail::pack_panel_kn;
 using detail::pack_panel_nk;
 
@@ -87,64 +98,63 @@ bool fast_mode() { return kernel_mode() == KernelMode::kFast; }
 // the AVX2 tile:
 //   c[jj] = float(init + sum_{kk ascending} a[kk] * panel[kk*kNR + jj])
 // All kNR lanes run (a compile-time trip count, so the loop vectorizes);
-// only the jw real columns of a zero-padded ragged panel are stored.
-void micro_kernel(const float* __restrict a, const float* __restrict panel,
+// only the jw real columns of a zero-padded ragged panel are stored. The
+// panel holds B widened to double, so each product is the exact
+// double(a) * double(b) of tensor::reference.
+void micro_kernel(const float* __restrict a, const double* __restrict panel,
                   int k, int jw, double init, float* __restrict c) {
   double acc[kNR];
   for (int jj = 0; jj < kNR; ++jj) acc[jj] = init;
   for (int kk = 0; kk < k; ++kk) {
     const double av = a[kk];
-    const float* __restrict brow =
+    const double* __restrict brow =
         panel + static_cast<std::ptrdiff_t>(kk) * kNR;
     for (int jj = 0; jj < kNR; ++jj) acc[jj] += av * brow[jj];
   }
   for (int jj = 0; jj < jw; ++jj) c[jj] = static_cast<float>(acc[jj]);
 }
 
-// Computes C[i][jbegin..jend) for the m rows of one row block, with A rows
-// contiguous (lda >= k). row_init may be null (zero init) or point at m
-// per-row initial values (conv bias). `pack` is decided by the caller from
-// the whole GEMM's row count, never from the block's, so a ragged last row
-// block runs the same kernels as the rows before it. Runs inside one
-// parallel task; only touches its own rows and columns.
-void gemm_columns(GemmPath path, bool pack, const float* a, int lda,
-                  const float* b, int ldb, BLayout layout, int m, int k,
-                  const float* row_init, float* c, int ldc, int jbegin,
-                  int jend) {
-  if (path == GemmPath::kFast) {
-    (pack ? vec::gemm_packed_f32 : vec::gemm_few_rows_f32)(
-        a, lda, b, ldb, layout, m, k, row_init, c, ldc, jbegin, jend);
-    return;
+// Computes C[i][0..cols) for the m rows of one row block from the block's
+// packed panels (ceil(cols / kNR) of them, k * kNR elements each): double
+// panels for the deterministic paths, float panels for fast mode. Runs
+// inside one parallel task; only touches its own rows and columns.
+template <class P>
+void gemm_packed_block(GemmPath path, const float* a, int lda,
+                       const P* panels, int m, int k, const float* row_init,
+                       float* c, int ldc, int cols) {
+  if constexpr (std::is_same_v<P, float>) {
+    vec::gemm_packed_f32(a, lda, panels, m, k, row_init, c, ldc, cols);
+  } else if (path == GemmPath::kExactVector) {
+    vec::gemm_packed_exact(a, lda, panels, m, k, row_init, c, ldc, cols);
+  } else {
+    const std::ptrdiff_t panel_elems = static_cast<std::ptrdiff_t>(k) * kNR;
+    for (int j0 = 0; j0 < cols; j0 += kNR, panels += panel_elems)
+      for (int i = 0; i < m; ++i)
+        micro_kernel(a + static_cast<std::ptrdiff_t>(i) * lda, panels, k,
+                     std::min(kNR, cols - j0),
+                     row_init ? static_cast<double>(row_init[i]) : 0.0,
+                     c + static_cast<std::ptrdiff_t>(i) * ldc + j0);
   }
-  if (path == GemmPath::kExactVector && pack) {
-    vec::gemm_packed_exact(a, lda, b, ldb, layout, m, k, row_init, c, ldc,
+}
+
+// The few-rows case (the whole GEMM has m < kPackMinRows): C[i][jbegin..jend)
+// straight from B, since packing would cost as much as the math. KN streams
+// B rows into a double accumulator row (axpy style); NT rows are already
+// contiguous dot products. Per-element operand order is unchanged: k
+// ascending. Runs inside one parallel task.
+void gemm_few_rows(GemmPath path, const float* a, int lda, const float* b,
+                   int ldb, BLayout layout, int m, int k,
+                   const float* row_init, float* c, int ldc, int jbegin,
+                   int jend) {
+  if (path == GemmPath::kFast) {
+    vec::gemm_few_rows_f32(a, lda, b, ldb, layout, m, k, row_init, c, ldc,
                            jbegin, jend);
     return;
   }
-  ScratchArena& arena = ScratchArena::local();
-  if (pack) {
-    const auto panel = arena.floats(ScratchArena::kPanel,
-                                    static_cast<std::size_t>(k) * kNR);
-    for (int j0 = jbegin; j0 < jend; j0 += kNR) {
-      const int jw = std::min(kNR, jend - j0);
-      if (layout == BLayout::kRowMajorKN)
-        pack_panel_kn(b, ldb, k, j0, jw, panel.data());
-      else
-        pack_panel_nk(b, ldb, k, j0, jw, panel.data());
-      for (int i = 0; i < m; ++i)
-        micro_kernel(a + static_cast<std::ptrdiff_t>(i) * lda, panel.data(),
-                     k, jw, row_init ? static_cast<double>(row_init[i]) : 0.0,
-                     c + static_cast<std::ptrdiff_t>(i) * ldc + j0);
-    }
-    return;
-  }
-  // Few rows: packing would cost as much as the math. KN streams B rows into
-  // a double accumulator row (axpy style); NT rows are already contiguous
-  // dot products. Per-element operand order is unchanged: k ascending.
   const int width = jend - jbegin;
   if (layout == BLayout::kRowMajorKN) {
-    const auto accrow = arena.doubles(ScratchArena::kPanel,
-                                      static_cast<std::size_t>(width));
+    const auto accrow = ScratchArena::local().doubles(
+        ScratchArena::kAccRow, static_cast<std::size_t>(width));
     for (int i = 0; i < m; ++i) {
       const double init = row_init ? static_cast<double>(row_init[i]) : 0.0;
       double* __restrict acc = accrow.data();
@@ -189,50 +199,127 @@ struct GemmSlice {
   int ldc;
 };
 
-// Runs `slices` m x n x k GEMMs, slice s on the operands slice_of(s), as one
-// grid of (slice, kIBlock-row block, kJBlock-column block) tasks, so a
-// batch-1 conv with few output columns still fans out over its rows. Every
-// C element has one owner task and sums k ascending, so the bits depend on
-// neither the thread count nor the row blocking.
-template <class SliceOf>
+// The fill_rows of a GEMM whose B operand is already in memory.
+struct BInMemory {
+  void operator()(std::size_t, int, int) const {}
+};
+
+// Runs `slices` m x n x k GEMMs, slice s on the operands slice_of(s), in two
+// parallel phases:
+//  1. One task per (slice, k_chunk rows of B): fill_rows(s, k0, k1) first
+//     writes those rows of B (the conv forward's im2col; nothing for a
+//     matmul), then a packed GEMM (m >= kPackMinRows, keyed on the whole
+//     GEMM so a ragged last row block runs the same kernels as the blocks
+//     before it) with several row blocks per slice packs them into every
+//     panel of the slice. The panels of all slices sit in the caller's
+//     kPanel slot: each B element is packed once per GEMM, and each task
+//     writes only its own rows of them.
+//  2. One grid of (slice, kIBlock-row block, kJBlock-column block) tasks,
+//     so a batch-1 conv with few output columns still fans out over its
+//     rows; the tasks only read the panels (or B, in the few-rows case).
+//     With one row block per slice, each grid task packs its own panels
+//     instead, on the core that reads them.
+// Every C element has one owner task and sums k ascending, so the bits
+// depend on neither the thread count nor the blocking.
+template <class SliceOf, class FillRows>
 void gemm_grid(std::size_t slices, BLayout layout, int m, int n, int k,
-               const SliceOf& slice_of) {
+               int k_chunk, const SliceOf& slice_of,
+               const FillRows& fill_rows) {
   const std::int64_t macc = static_cast<std::int64_t>(slices) * m * n * k;
   note_gemm_flops(macc);
   const GemmPath path = gemm_path();
-  const bool pack = m >= kPackMinRows;
+  const bool parallel = macc >= kParallelMinMacc;
   const std::size_t jblocks = (n + kJBlock - 1) / kJBlock;
   const std::size_t blocks = (m + kIBlock - 1) / kIBlock * jblocks;
   const std::size_t tasks = slices * blocks;
-  util::parallel_for_if(
-      macc >= kParallelMinMacc && tasks > 1, tasks, [&](std::size_t t) {
-        const GemmSlice s = slice_of(t / blocks);
-        const int ibegin = static_cast<int>(t % blocks / jblocks) * kIBlock;
-        const int jbegin = static_cast<int>(t % jblocks) * kJBlock;
-        const std::ptrdiff_t row = ibegin;
-        gemm_columns(path, pack, s.a + row * s.lda, s.lda, s.b, s.ldb, layout,
-                     std::min(m, ibegin + kIBlock) - ibegin, k,
-                     s.row_init ? s.row_init + row : nullptr,
-                     s.c + row * s.ldc, s.ldc, jbegin,
-                     std::min(n, jbegin + kJBlock));
-      });
+  const std::size_t kchunks = (k + k_chunk - 1) / k_chunk;
+  const std::size_t prep_tasks = slices * kchunks;
+  const std::ptrdiff_t panel_elems = static_cast<std::ptrdiff_t>(k) * kNR;
+  const std::ptrdiff_t slice_elems = (n + kNR - 1) / kNR * panel_elems;
+  // With one row block per slice every panel has one reader, so that grid
+  // task packs it itself (still once per GEMM), on the core that uses it.
+  const bool pack_in_grid = m <= kIBlock;
+  // Packs rows [k0, k0 + kn) of columns [jbegin, jend) of slice s into its
+  // panels.
+  const auto pack = [&](const GemmSlice& s, auto* panels, int k0, int kn,
+                        int jbegin, int jend) {
+    auto* dst = panels + jbegin / kNR * panel_elems +
+                static_cast<std::ptrdiff_t>(k0) * kNR;
+    for (int j0 = jbegin; j0 < jend; j0 += kNR, dst += panel_elems) {
+      if (layout == BLayout::kRowMajorKN)
+        pack_panel_kn(s.b + static_cast<std::ptrdiff_t>(k0) * s.ldb, s.ldb,
+                      kn, j0, std::min(kNR, jend - j0), dst);
+      else
+        pack_panel_nk(s.b + k0, s.ldb, kn, j0, std::min(kNR, jend - j0), dst);
+    }
+  };
+  // `packed` is null for the few-rows case, which reads B directly.
+  const auto run = [&](auto* packed) {
+    const bool pack_phase = packed && !pack_in_grid;
+    if (pack_phase || !std::is_same_v<FillRows, BInMemory>)
+      util::parallel_for_if(
+          parallel && prep_tasks > 1, prep_tasks, [&](std::size_t t) {
+            const std::size_t sl = t / kchunks;
+            const int k0 = static_cast<int>(t % kchunks) * k_chunk;
+            const int kn = std::min(k - k0, k_chunk);
+            fill_rows(sl, k0, k0 + kn);
+            if (pack_phase)
+              pack(slice_of(sl), packed + sl * slice_elems, k0, kn, 0, n);
+          });
+    util::parallel_for_if(parallel && tasks > 1, tasks, [&](std::size_t t) {
+      const GemmSlice s = slice_of(t / blocks);
+      const int ibegin = static_cast<int>(t % blocks / jblocks) * kIBlock;
+      const int jbegin = static_cast<int>(t % jblocks) * kJBlock;
+      const int jend = std::min(n, jbegin + kJBlock);
+      if (!packed) {
+        gemm_few_rows(path, s.a, s.lda, s.b, s.ldb, layout, m, k, s.row_init,
+                      s.c, s.ldc, jbegin, jend);
+        return;
+      }
+      auto* panels = packed + t / blocks * slice_elems;
+      if (pack_in_grid) pack(s, panels, 0, k, jbegin, jend);
+      const std::ptrdiff_t row = ibegin;
+      gemm_packed_block(path, s.a + row * s.lda, s.lda,
+                        panels + jbegin / kNR * panel_elems,
+                        std::min(m, ibegin + kIBlock) - ibegin, k,
+                        s.row_init ? s.row_init + row : nullptr,
+                        s.c + row * s.ldc + jbegin, s.ldc, jend - jbegin);
+    });
+  };
+  ScratchArena& arena = ScratchArena::local();
+  const std::size_t total = slices * static_cast<std::size_t>(slice_elems);
+  if (m < kPackMinRows)
+    run(static_cast<float*>(nullptr));
+  else if (path == GemmPath::kFast)
+    run(arena.floats(ScratchArena::kPanel, total).data());
+  else
+    run(arena.doubles(ScratchArena::kPanel, total).data());
 }
 
 // Full C = A * B: one slice of the task grid.
 void gemm_blocked(const float* a, int lda, const float* b, int ldb,
                   BLayout layout, int m, int n, int k, float* c, int ldc) {
-  gemm_grid(1, layout, m, n, k, [&](std::size_t) {
-    return GemmSlice{a, lda, b, ldb, nullptr, c, ldc};
-  });
+  gemm_grid(
+      1, layout, m, n, k, kPackKBlock,
+      [&](std::size_t) { return GemmSlice{a, lda, b, ldb, nullptr, c, ldc}; },
+      BInMemory{});
 }
 
-// im2col for one (batch, group) slice: src is the [cig][h][w] input block,
-// dst the [cig*k*k][ho*wo] column matrix with zero-filled padded taps. Row
-// order (icg, ky, kx) is the accumulation order of the contract.
-void im2col_slice(const float* __restrict src, const ConvDims& d,
-                  const Conv2dSpec& spec, float* __restrict dst) {
+// im2col of input channels [c0, c1) of slice bg = (b, g) into `cols`, the
+// [n*groups] stack of [cig*k*k][ho*wo] column matrices, with zero-filled
+// padded taps. Row order (icg, ky, kx) is the accumulation order of the
+// contract.
+void im2col_channels(const float* in, const ConvDims& d,
+                     const Conv2dSpec& spec, std::size_t bg, int c0, int c1,
+                     float* cols) {
   const int hw = d.h * d.w;
-  for (int icg = 0; icg < d.cig; ++icg) {
+  const int b = static_cast<int>(bg) / d.groups;
+  const int g = static_cast<int>(bg) % d.groups;
+  const float* __restrict src =
+      in + (static_cast<std::ptrdiff_t>(b) * d.ci + g * d.cig) * hw;
+  float* __restrict dst =
+      cols + static_cast<std::ptrdiff_t>(bg) * d.kk * d.how;
+  for (int icg = c0; icg < c1; ++icg) {
     const float* __restrict plane =
         src + static_cast<std::ptrdiff_t>(icg) * hw;
     for (int ky = 0; ky < d.k; ++ky) {
@@ -275,25 +362,31 @@ void im2col_slice(const float* __restrict src, const ConvDims& d,
   }
 }
 
+// Input channels per im2col task.
+constexpr int kIm2colChannels = 16;
+
 bool is_pointwise(const ConvDims& d, const Conv2dSpec& spec) {
   return d.k == 1 && spec.padding == 0 && spec.stride == 1;
 }
 
 bool is_depthwise(const ConvDims& d) { return d.cig == 1 && d.co_per_g == 1; }
 
-// Builds (or aliases) the [n*groups] stack of column matrices. For pointwise
-// convs the input itself is the column matrix, so no copy happens. Returns
-// the row pointer for (b, g): row kk is `col(b,g) + kk*how`.
+// The [n*groups] stack of column matrices. For pointwise convs the input
+// itself is the column matrix, so no copy happens; otherwise `owned` is a
+// caller-arena buffer (it must outlive the fan-outs that read it) that
+// im2col_channels fills. slice(b, g) is the row pointer for (b, g): row kk
+// is `slice(b, g) + kk*how`.
 struct ColMatrix {
-  const float* base = nullptr;     // pointwise: input; else arena buffer
+  const float* base = nullptr;     // pointwise: input; else `owned`
+  float* owned = nullptr;          // null when pointwise
   std::ptrdiff_t bg_stride = 0;    // elements between (b,g) slices
   const float* slice(int b, int g, int groups) const {
     return base + (static_cast<std::ptrdiff_t>(b) * groups + g) * bg_stride;
   }
 };
 
-ColMatrix build_col_matrix(const float* in, const ConvDims& d,
-                           const Conv2dSpec& spec) {
+ColMatrix col_matrix(const float* in, const ConvDims& d,
+                     const Conv2dSpec& spec) {
   ColMatrix col;
   if (is_pointwise(d, spec)) {
     // Input [n][ci][hw] viewed as n*groups slices of [cig][how]; how == hw.
@@ -301,28 +394,33 @@ ColMatrix build_col_matrix(const float* in, const ConvDims& d,
     col.bg_stride = static_cast<std::ptrdiff_t>(d.cig) * d.how;
     return col;
   }
-  const std::size_t slice_elems =
-      static_cast<std::size_t>(d.kk) * static_cast<std::size_t>(d.how);
-  const std::size_t total =
-      slice_elems * static_cast<std::size_t>(d.n) * d.groups;
-  // The caller's arena owns the matrix: it must outlive both fan-outs below,
-  // and workers only ever read it.
-  const auto buf = ScratchArena::local().floats(ScratchArena::kIm2col, total);
+  col.bg_stride = static_cast<std::ptrdiff_t>(d.kk) * d.how;
+  const std::size_t total = static_cast<std::size_t>(col.bg_stride) *
+                            static_cast<std::size_t>(d.n) * d.groups;
+  col.owned = ScratchArena::local().floats(ScratchArena::kIm2col, total).data();
+  col.base = col.owned;
   note_im2col_bytes(static_cast<std::int64_t>(total * sizeof(float)));
-  const int hw = d.h * d.w;
-  const std::size_t slices = static_cast<std::size_t>(d.n) * d.groups;
-  const bool parallel =
-      slices > 1 &&
-      static_cast<std::int64_t>(total) >= kParallelMinMacc;
-  util::parallel_for_if(parallel, slices, [&](std::size_t t) {
-    const int b = static_cast<int>(t) / d.groups;
-    const int g = static_cast<int>(t) % d.groups;
-    const float* src =
-        in + (static_cast<std::ptrdiff_t>(b) * d.ci + g * d.cig) * hw;
-    im2col_slice(src, d, spec, buf.data() + t * slice_elems);
+  return col;
+}
+
+// The filled column matrix, for conv2d_backward: one task per (slice,
+// kIm2colChannels input channels), so a batch-1 conv copies on every core.
+// (The forward fills the same blocks inside the GEMM's pack phase.)
+ColMatrix build_col_matrix(const float* in, const ConvDims& d,
+                           const Conv2dSpec& spec) {
+  const ColMatrix col = col_matrix(in, d, spec);
+  if (!col.owned) return col;
+  const std::size_t cblocks =
+      (d.cig + kIm2colChannels - 1) / kIm2colChannels;
+  const std::size_t tasks = static_cast<std::size_t>(d.n) * d.groups * cblocks;
+  const bool parallel = tasks > 1 && static_cast<std::int64_t>(col.bg_stride) *
+                                             d.n * d.groups >=
+                                         kParallelMinMacc;
+  util::parallel_for_if(parallel, tasks, [&](std::size_t t) {
+    const int c0 = static_cast<int>(t % cblocks) * kIm2colChannels;
+    im2col_channels(in, d, spec, t / cblocks, c0,
+                    std::min(d.cig, c0 + kIm2colChannels), col.owned);
   });
-  col.base = buf.data();
-  col.bg_stride = static_cast<std::ptrdiff_t>(slice_elems);
   return col;
 }
 
@@ -527,21 +625,32 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
     return out;
   }
 
-  const ColMatrix col = build_col_matrix(in, d, spec);
   // Slice (b, g): the weight rows of group g are contiguous [co_per_g][kk];
-  // the C rows are the output channel planes of (b, g).
-  gemm_grid(static_cast<std::size_t>(d.n) * d.groups, BLayout::kRowMajorKN,
-            d.co_per_g, d.how, d.kk, [&](std::size_t bg) {
-              const int g = static_cast<int>(bg) % d.groups;
-              const int b = static_cast<int>(bg) / d.groups;
-              const std::ptrdiff_t oc0 =
-                  static_cast<std::ptrdiff_t>(g) * d.co_per_g;
-              return GemmSlice{
-                  wgt + oc0 * d.kk, d.kk, col.slice(b, g, d.groups), d.how,
-                  bs ? bs + oc0 : nullptr,
-                  o + (static_cast<std::ptrdiff_t>(b) * d.co + oc0) * d.how,
-                  d.how};
-            });
+  // the C rows are the output channel planes of (b, g). The im2col runs in
+  // the GEMM's pack phase, one task per kIm2colChannels input channels of a
+  // slice, so each block is packed while it is still in that core's cache.
+  const ColMatrix col = col_matrix(in, d, spec);
+  const int ksq = d.k * d.k;
+  const auto slice_of = [&](std::size_t bg) {
+    const int g = static_cast<int>(bg) % d.groups;
+    const int b = static_cast<int>(bg) / d.groups;
+    const std::ptrdiff_t oc0 = static_cast<std::ptrdiff_t>(g) * d.co_per_g;
+    return GemmSlice{wgt + oc0 * d.kk, d.kk, col.slice(b, g, d.groups), d.how,
+                     bs ? bs + oc0 : nullptr,
+                     o + (static_cast<std::ptrdiff_t>(b) * d.co + oc0) * d.how,
+                     d.how};
+  };
+  const std::size_t slices = static_cast<std::size_t>(d.n) * d.groups;
+  if (col.owned)
+    gemm_grid(slices, BLayout::kRowMajorKN, d.co_per_g, d.how, d.kk,
+              kIm2colChannels * ksq, slice_of,
+              [&](std::size_t bg, int k0, int k1) {
+                im2col_channels(in, d, spec, bg, k0 / ksq, k1 / ksq,
+                                col.owned);
+              });
+  else
+    gemm_grid(slices, BLayout::kRowMajorKN, d.co_per_g, d.how, d.kk,
+              kPackKBlock, slice_of, BInMemory{});
   return out;
 }
 

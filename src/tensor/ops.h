@@ -34,8 +34,10 @@
 //
 // The framework ops below the conv family fall into three classes:
 //  * Exact ops (maxpool forward/backward, relu forward/backward,
-//    global_avgpool_backward): no accumulation rounding exists, so the fast
-//    path (when one exists) is bitwise-identical to the deterministic one.
+//    global_avgpool_backward): no accumulation rounding exists. relu and
+//    the no-argmax maxpool forward run on AVX2 vector lanes in both modes
+//    whenever the CPU has them, bitwise-identical to the scalar loops
+//    (-0.0f and NaN included).
 //  * Vectorized ops (avgpool2d, global_avgpool, sgd_update): the fast path
 //    accumulates/updates in fp32 FMA and carries the tolerance contract.
 //  * Deterministic-only ops (softmax/loss kernels): fast mode runs the

@@ -18,10 +18,10 @@
 // Each output element is produced by exactly one caller task in both, so
 // results are bitwise invariant to thread count.
 //
-// Both GEMMs share one pack/tile driver: B is packed into kNR(=8)-column
-// panels, and a tile holds 4 C-rows x 8 C-columns — one fp32 ymm register
-// per row in fast mode, two double ymm registers per row in deterministic
-// mode.
+// Both GEMMs share one tile driver over the kNR(=8)-column B panels that
+// ops.cpp packs once per GEMM (double in deterministic mode, float in fast
+// mode); a tile holds 4 C-rows x 8 C-columns — one fp32 ymm register per
+// row in fast mode, two double ymm registers per row in deterministic mode.
 #include "tensor/ops_vector.h"
 
 #include <stdexcept>
@@ -33,8 +33,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <type_traits>
-
-#include "tensor/scratch.h"
 
 namespace cadmc::tensor::vec {
 
@@ -54,24 +52,27 @@ namespace {
 
 using detail::kNR;
 
-// Every panel is packed kNR floats wide (ragged ones zero-padded), starts
-// 64-byte aligned (ScratchArena::kAlignment), and a kNR-float row is 32
-// bytes, so aligned loads are safe on every row.
-inline const float* panel_row(const float* panel, int kk) {
+// Every panel is packed kNR elements wide (ragged ones zero-padded) and
+// starts 64-byte aligned (ScratchArena::kAlignment); a kNR-float row is 32
+// bytes and a kNR-double row 64, so aligned loads are safe on every row.
+template <class P>
+inline const P* panel_row(const P* panel, int kk) {
   return panel + static_cast<std::ptrdiff_t>(kk) * kNR;
 }
 
 // Deterministic-contract tile: C[r][0..kNR) for R rows, two double
 // accumulators (columns 0-3 and 4-7) per row. Each lane starts at the row's
-// init and adds a[r][kk] * panel[kk][j] for kk ascending. A float x float
-// product is exact in double, so the fused multiply-add rounds exactly as
-// the scalar `acc += double(a) * b` of micro_kernel and tensor::reference.
-// A rows are read four k at a time and widened once; a permute then
-// broadcasts each lane, which costs less than a convert per element.
+// init and adds a[r][kk] * panel[kk][j] for kk ascending. The panel holds B
+// already widened to double, and a float x float product is exact in
+// double, so the fused multiply-add rounds exactly as the scalar
+// `acc += double(a) * b` of micro_kernel and tensor::reference. A rows are
+// read four k at a time and widened once; a permute then broadcasts each
+// lane, which costs less than a convert per element.
 struct ExactTile {
+  using Panel = double;
   template <int R>
   static void rows(const float* __restrict a, int lda,
-                   const float* __restrict panel, int k, const float* init,
+                   const double* __restrict panel, int k, const float* init,
                    float* __restrict c, int ldc) {
     __m256d lo[R], hi[R];
 #pragma GCC unroll 4
@@ -79,9 +80,9 @@ struct ExactTile {
       lo[r] = hi[r] =
           _mm256_set1_pd(init ? static_cast<double>(init[r]) : 0.0);
     const auto step = [&](int kk, auto&& a_of) {
-      const float* brow = panel_row(panel, kk);
-      const __m256d blo = _mm256_cvtps_pd(_mm_load_ps(brow));
-      const __m256d bhi = _mm256_cvtps_pd(_mm_load_ps(brow + 4));
+      const double* brow = panel_row(panel, kk);
+      const __m256d blo = _mm256_load_pd(brow);
+      const __m256d bhi = _mm256_load_pd(brow + 4);
 #pragma GCC unroll 4
       for (int r = 0; r < R; ++r) {
         const __m256d av = a_of(r);
@@ -118,6 +119,7 @@ struct ExactTile {
 // Fast-mode tile: one fp32 accumulator of kNR lanes per row, one FMA per
 // (row, kk) term, kk ascending.
 struct FastTile {
+  using Panel = float;
   template <int R>
   static void rows(const float* __restrict a, int lda,
                    const float* __restrict panel, int k, const float* init,
@@ -140,38 +142,25 @@ struct FastTile {
   }
 };
 
-// The one pack/tile driver of both modes: C[i][jbegin..jend) for the m rows
-// of one row block. Every kNR-column panel of the range is packed up front
-// (per call, into this thread's kPanel slot); then each 4-row tile (single
-// rows for the remainder) sweeps all panels, so the A rows stream from
-// memory once per call instead of once per panel. A ragged last panel
-// (jw < kNR) is zero-padded; its tile lands in a local buffer and only the
-// jw real columns are copied out.
+// The one tile driver of both modes: C[i][0..cols) for the m rows of one
+// row block, from the ceil(cols / kNR) panels that gemm_grid (ops.cpp)
+// packed for the block's columns. Each 4-row tile (single rows for the
+// remainder) sweeps all panels, so the A rows stream from memory once per
+// call instead of once per panel. A ragged last panel (cols % kNR real
+// columns) is zero-padded; its tile lands in a local buffer and only the
+// real columns are copied out.
 template <class Tile>
-void gemm_packed(const float* a, int lda, const float* b, int ldb,
-                 detail::BLayout layout, int m, int k, const float* row_init,
-                 float* c, int ldc, int jbegin, int jend) {
-  const int panels = (jend - jbegin + kNR - 1) / kNR;
+void gemm_packed(const float* a, int lda, const typename Tile::Panel* panels,
+                 int m, int k, const float* row_init, float* c, int ldc,
+                 int cols) {
   const std::ptrdiff_t panel_elems = static_cast<std::ptrdiff_t>(k) * kNR;
-  const auto packed = ScratchArena::local().floats(
-      ScratchArena::kPanel, static_cast<std::size_t>(panel_elems) * panels);
-  for (int p = 0; p < panels; ++p) {
-    const int j0 = jbegin + p * kNR;
-    const int jw = std::min(kNR, jend - j0);
-    float* panel = packed.data() + p * panel_elems;
-    if (layout == detail::BLayout::kRowMajorKN)
-      detail::pack_panel_kn(b, ldb, k, j0, jw, panel);
-    else
-      detail::pack_panel_nk(b, ldb, k, j0, jw, panel);
-  }
   const auto tile = [&](auto rows_tag, int i) {
     constexpr int R = decltype(rows_tag)::value;
     const float* arow = a + static_cast<std::ptrdiff_t>(i) * lda;
     const float* init = row_init ? row_init + i : nullptr;
-    for (int p = 0; p < panels; ++p) {
-      const int j0 = jbegin + p * kNR;
-      const int jw = std::min(kNR, jend - j0);
-      const float* panel = packed.data() + p * panel_elems;
+    const auto* panel = panels;
+    for (int j0 = 0; j0 < cols; j0 += kNR, panel += panel_elems) {
+      const int jw = std::min(kNR, cols - j0);
       float* crow = c + static_cast<std::ptrdiff_t>(i) * ldc + j0;
       if (jw == kNR) {
         Tile::template rows<R>(arow, lda, panel, k, init, crow, ldc);
@@ -191,20 +180,16 @@ void gemm_packed(const float* a, int lda, const float* b, int ldb,
 
 }  // namespace
 
-void gemm_packed_exact(const float* a, int lda, const float* b, int ldb,
-                       detail::BLayout layout, int m, int k,
-                       const float* row_init, float* c, int ldc, int jbegin,
-                       int jend) {
-  gemm_packed<ExactTile>(a, lda, b, ldb, layout, m, k, row_init, c, ldc,
-                         jbegin, jend);
+void gemm_packed_exact(const float* a, int lda, const double* panels, int m,
+                       int k, const float* row_init, float* c, int ldc,
+                       int cols) {
+  gemm_packed<ExactTile>(a, lda, panels, m, k, row_init, c, ldc, cols);
 }
 
-void gemm_packed_f32(const float* a, int lda, const float* b, int ldb,
-                     detail::BLayout layout, int m, int k,
-                     const float* row_init, float* c, int ldc, int jbegin,
-                     int jend) {
-  gemm_packed<FastTile>(a, lda, b, ldb, layout, m, k, row_init, c, ldc,
-                        jbegin, jend);
+void gemm_packed_f32(const float* a, int lda, const float* panels, int m,
+                     int k, const float* row_init, float* c, int ldc,
+                     int cols) {
+  gemm_packed<FastTile>(a, lda, panels, m, k, row_init, c, ldc, cols);
 }
 
 void gemm_few_rows_f32(const float* a, int lda, const float* b, int ldb,
@@ -313,19 +298,24 @@ float sum_f32(const float* x, int n) {
 }
 
 void relu_f32(const float* x, float* y, std::int64_t n, float cap) {
+  // `_mm256_max_ps(zero, v)` is `zero > v ? zero : v` and
+  // `_mm256_min_ps(capv, v)` is `capv < v ? capv : v`: both return v on a
+  // tie or a NaN, exactly like the scalar `if (v < 0) v = 0` and
+  // `if (v > cap) v = cap`, so -0.0f and NaN pass through unchanged.
   const __m256 zero = _mm256_setzero_ps();
   const __m256 capv = _mm256_set1_ps(cap);
+  const bool capped = cap > 0.0f;
   std::int64_t j = 0;
-  if (cap > 0.0f) {
-    for (; j + kNR <= n; j += kNR)
-      _mm256_storeu_ps(
-          y + j,
-          _mm256_min_ps(_mm256_max_ps(_mm256_loadu_ps(x + j), zero), capv));
-    for (; j < n; ++j) y[j] = std::min(std::max(x[j], 0.0f), cap);
-  } else {
-    for (; j + kNR <= n; j += kNR)
-      _mm256_storeu_ps(y + j, _mm256_max_ps(_mm256_loadu_ps(x + j), zero));
-    for (; j < n; ++j) y[j] = std::max(x[j], 0.0f);
+  for (; j + kNR <= n; j += kNR) {
+    __m256 v = _mm256_max_ps(zero, _mm256_loadu_ps(x + j));
+    if (capped) v = _mm256_min_ps(capv, v);
+    _mm256_storeu_ps(y + j, v);
+  }
+  for (; j < n; ++j) {
+    float v = x[j];
+    if (v < 0.0f) v = 0.0f;
+    if (capped && v > cap) v = cap;
+    y[j] = v;
   }
 }
 
@@ -476,13 +466,13 @@ bool compiled() { return false; }
 bool cpu_supported() { return false; }
 bool available() { return false; }
 
-void gemm_packed_exact(const float*, int, const float*, int, detail::BLayout,
-                       int, int, const float*, float*, int, int, int) {
+void gemm_packed_exact(const float*, int, const double*, int, int,
+                       const float*, float*, int, int) {
   not_compiled();
 }
 
-void gemm_packed_f32(const float*, int, const float*, int, detail::BLayout,
-                     int, int, const float*, float*, int, int, int) {
+void gemm_packed_f32(const float*, int, const float*, int, int, const float*,
+                     float*, int, int) {
   not_compiled();
 }
 

@@ -18,9 +18,15 @@ namespace cadmc::tensor::detail {
 inline constexpr int kNR = 8;       // micro-kernel panel width (columns of C)
 // A GEMM fans out as one grid of (slice, row block, column block) tasks,
 // each owning a kIBlock x kJBlock block of C; a slice is one (batch, group)
-// of a conv or the whole matrix of a matmul.
-inline constexpr int kIBlock = 64;  // rows per task (multiple of the 4-row tile)
+// of a conv or the whole matrix of a matmul. B is packed once per GEMM
+// before the grid runs, so a row block costs no re-packing and can stay
+// small enough to give a batch-1 conv several tasks per core.
+inline constexpr int kIBlock = 32;  // rows per task (multiple of the 4-row tile)
 inline constexpr int kJBlock = 64;  // columns per task (multiple of kNR)
+// Rows of B per pack task when B is already in memory (a matmul, a
+// pointwise conv): each task packs its rows into every panel, so a GEMM
+// with one or two panels still packs on every core.
+inline constexpr int kPackKBlock = 64;
 // A GEMM with fewer rows than this skips panel packing (the pack cost would
 // rival the math). Keyed on the whole GEMM's rows, never on one row block's.
 inline constexpr int kPackMinRows = 4;
@@ -33,25 +39,30 @@ inline constexpr std::int64_t kParallelMinMacc = 1 << 16;
 // im2col columns), kRowMajorNK is B[n][k] (matmul_nt).
 enum class BLayout { kRowMajorKN, kRowMajorNK };
 
-// Every panel is kNR floats wide: panel[kk*kNR + jj] is B(kk, j0+jj) for
+// Every panel is kNR elements wide: panel[kk*kNR + jj] is B(kk, j0+jj) for
 // jj < jw, and a ragged panel (jw < kNR) is zero-padded, so the
 // micro-kernels always run kNR columns and store only the jw real ones.
+// The deterministic kernels pack into double (the float -> double widening
+// is exact, and the tiles then read B without converting); fast mode packs
+// float.
 
 // Packs a B[k][ldb] row-major operand.
-inline void pack_panel_kn(const float* __restrict src, int ldb, int k, int j0,
-                          int jw, float* __restrict dst) {
+template <class T>
+void pack_panel_kn(const float* __restrict src, int ldb, int k, int j0,
+                   int jw, T* __restrict dst) {
   for (int kk = 0; kk < k; ++kk) {
     const float* __restrict s =
         src + static_cast<std::ptrdiff_t>(kk) * ldb + j0;
-    float* __restrict p = dst + static_cast<std::ptrdiff_t>(kk) * kNR;
+    T* __restrict p = dst + static_cast<std::ptrdiff_t>(kk) * kNR;
     for (int jj = 0; jj < jw; ++jj) p[jj] = s[jj];
-    for (int jj = jw; jj < kNR; ++jj) p[jj] = 0.0f;
+    for (int jj = jw; jj < kNR; ++jj) p[jj] = T{0};
   }
 }
 
 // Packs a B[n][ldb] row-major operand (NT), i.e. B(kk, j) = src[j][kk].
-inline void pack_panel_nk(const float* __restrict src, int ldb, int k, int j0,
-                          int jw, float* __restrict dst) {
+template <class T>
+void pack_panel_nk(const float* __restrict src, int ldb, int k, int j0,
+                   int jw, T* __restrict dst) {
   for (int jj = 0; jj < jw; ++jj) {
     const float* __restrict s =
         src + static_cast<std::ptrdiff_t>(j0 + jj) * ldb;
@@ -60,7 +71,7 @@ inline void pack_panel_nk(const float* __restrict src, int ldb, int k, int j0,
   }
   for (int kk = 0; kk < k; ++kk)
     for (int jj = jw; jj < kNR; ++jj)
-      dst[static_cast<std::ptrdiff_t>(kk) * kNR + jj] = 0.0f;
+      dst[static_cast<std::ptrdiff_t>(kk) * kNR + jj] = T{0};
 }
 
 inline void check_rank2(const Tensor& t, const char* name) {

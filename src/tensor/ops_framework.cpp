@@ -8,12 +8,13 @@
 //    exactly one task — results are bit-identical for any thread count.
 //  * The deterministic mode reproduces tensor::reference bit-for-bit (the
 //    reference loop nests in ops_reference.cpp define the operand orders).
-//  * kernel_mode() == kFast routes avgpool/global-avgpool rows, relu sweeps
-//    and the SGD update to the fp32 vector kernels (ops_avx2.cpp) under the
-//    tolerance contract. Maxpool and relu have no accumulation, so their
-//    vector paths are bitwise-identical anyway; the loss kernels are
-//    deterministic-only and record note_fast_fallback() so fast-mode
-//    profiles can't silently mix modes.
+//  * Maxpool (without argmax) and relu have no rounding, so their vector
+//    kernels (ops_avx2.cpp) are bitwise-identical to the scalar loops and
+//    run in both modes whenever vec::available().
+//  * kernel_mode() == kFast routes avgpool/global-avgpool rows and the SGD
+//    update to the fp32 vector kernels under the tolerance contract; the
+//    loss kernels are deterministic-only and record note_fast_fallback() so
+//    fast-mode profiles can't silently mix modes.
 //  * Large temporaries come from the per-thread ScratchArena (softened
 //    probability rows, per-row loss subtotals) instead of per-call heap
 //    allocations; gradients are written straight into their result tensors.
@@ -65,10 +66,11 @@ MaxPoolResult maxpool2d(const Tensor& input, int kernel, int stride,
   if (with_argmax)
     result.argmax.resize(static_cast<std::size_t>(result.output.numel()));
   // Max has no rounding, so the vector row kernel is bitwise-identical to
-  // the scalar scan; it just can't produce argmax, so training-mode forward
-  // (with_argmax) always runs the scalar path. Either way the op is
-  // mode-neutral — no fast fallback to record.
-  const bool fast = fast_mode() && !with_argmax;
+  // the scalar scan and runs in both modes whenever the CPU has it; it just
+  // can't produce argmax, so training-mode forward (with_argmax) always runs
+  // the scalar path. Either way the op is mode-neutral — no fast fallback
+  // to record.
+  const bool vector = vec::available() && !with_argmax;
   const float* in = input.data().data();
   float* out = result.output.data().data();
   std::int64_t* am = with_argmax ? result.argmax.data() : nullptr;
@@ -81,7 +83,7 @@ MaxPoolResult maxpool2d(const Tensor& input, int kernel, int stride,
   util::parallel_for_if(parallel, planes, [&](std::size_t t) {
     const float* __restrict pl = in + static_cast<std::int64_t>(t) * hw;
     float* __restrict op = out + static_cast<std::int64_t>(t) * how;
-    if (fast) {
+    if (vector) {
       for (int oy = 0; oy < d.ho; ++oy)
         vec::maxpool_row_f32(
             pl + static_cast<std::ptrdiff_t>(oy) * stride * d.w, d.w, kernel,
@@ -231,7 +233,8 @@ Tensor global_avgpool_backward(const Shape& input_shape,
 Tensor relu(const Tensor& input, float cap) {
   CADMC_SPAN("kernel_relu");
   Tensor out(input.shape());
-  const bool fast = fast_mode();  // exact either way; vector path for speed
+  // Exact either way: the vector sweep runs in both modes for speed.
+  const bool vector = vec::available();
   const float* in = input.data().data();
   float* op = out.data().data();
   const std::int64_t n = input.numel();
@@ -241,7 +244,7 @@ Tensor relu(const Tensor& input, float cap) {
       parallel, static_cast<std::size_t>(blocks), [&](std::size_t t) {
         const std::int64_t lo = static_cast<std::int64_t>(t) * kEltBlock;
         const std::int64_t len = std::min(kEltBlock, n - lo);
-        if (fast) {
+        if (vector) {
           vec::relu_f32(in + lo, op + lo, len, cap);
           return;
         }

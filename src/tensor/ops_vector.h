@@ -1,13 +1,15 @@
 // Internal entry points of the AVX2/FMA kernels (ops_avx2.cpp, compiled
 // with -mavx2 -mfma when the toolchain supports them). Not part of the
-// public ops.h surface — dispatch happens inside ops.cpp: the deterministic
-// GEMM tile (gemm_packed_exact) whenever vec::available(), everything else
-// only when tensor::kernel_mode() == KernelMode::kFast, which in turn folds
-// in vec::available().
+// public ops.h surface — dispatch happens inside ops.cpp and
+// ops_framework.cpp: the deterministic GEMM tile (gemm_packed_exact) and the
+// exact relu_f32 / maxpool_row_f32 whenever vec::available(), everything
+// else only when tensor::kernel_mode() == KernelMode::kFast, which in turn
+// folds in vec::available().
 //
-// gemm_packed_exact keeps the deterministic contract: bitwise equal to
-// tensor::reference. The fast-mode contract of every other function
-// (weaker than the deterministic kernels, still strict):
+// gemm_packed_exact, relu_f32 and maxpool_row_f32 keep the deterministic
+// contract: bitwise equal to tensor::reference. The fast-mode contract of
+// every other function (weaker than the deterministic kernels, still
+// strict):
 //  * fp32 accumulation with 8-lane FMA; validated against tensor::reference
 //    by tolerance (tests/compare.h), not bitwise.
 //  * Every output element is still produced by exactly one caller task in a
@@ -32,30 +34,31 @@ bool cpu_supported();
 bool available();
 
 /// The deterministic-contract GEMM of ops.cpp's packed case (the whole
-/// GEMM has >= kPackMinRows rows): C[i][jbegin..jend) for the m rows of one
-/// row block, one double accumulator per element starting at row_init[i]
-/// (or 0), k ascending, one rounding to float — bitwise-identical to the
-/// scalar micro_kernel and to tensor::reference. 4x8 tiles of two 4-lane
-/// double accumulators per row; B-panels are packed per call from this
-/// thread's ScratchArena. Safe to run inside one parallel task (touches only
-/// its own rows and columns).
-void gemm_packed_exact(const float* a, int lda, const float* b, int ldb,
-                       detail::BLayout layout, int m, int k,
-                       const float* row_init, float* c, int ldc, int jbegin,
-                       int jend);
+/// GEMM has >= kPackMinRows rows): C[i][0..cols) for the m rows of one row
+/// block, from `panels`, the ceil(cols / kNR) B panels of the block's
+/// columns (k * kNR doubles each, zero-padded, 64-byte aligned) that
+/// ops.cpp packed once for the whole GEMM. One double accumulator per
+/// element starting at row_init[i] (or 0), k ascending, one rounding to
+/// float — bitwise-identical to the scalar micro_kernel and to
+/// tensor::reference. 4x8 tiles of two 4-lane double accumulators per row.
+/// Safe to run inside one parallel task (touches only its own rows and
+/// columns, and only reads the panels).
+void gemm_packed_exact(const float* a, int lda, const double* panels, int m,
+                       int k, const float* row_init, float* c, int ldc,
+                       int cols);
 
-/// Fast-mode analogues of ops.cpp's packed and few-row GEMM cases: compute
-/// C[i][jbegin..jend) for every row i < m with fp32 FMA accumulation,
-/// k ascending. `row_init` may be null (zero init) or m per-row initial
-/// values (conv bias). The caller picks one from the whole GEMM's row count
-/// (packed when it is >= kPackMinRows), so every row block of one GEMM runs
-/// the same one. gemm_packed_f32 packs B-panels from this thread's
-/// ScratchArena. Both are safe to run inside one parallel task (they touch
-/// only their own rows and columns).
-void gemm_packed_f32(const float* a, int lda, const float* b, int ldb,
-                     detail::BLayout layout, int m, int k,
-                     const float* row_init, float* c, int ldc, int jbegin,
-                     int jend);
+/// Fast-mode analogues of ops.cpp's packed and few-row GEMM cases, with
+/// fp32 FMA accumulation, k ascending. `row_init` may be null (zero init)
+/// or m per-row initial values (conv bias). The caller picks one from the
+/// whole GEMM's row count (packed when it is >= kPackMinRows), so every row
+/// block of one GEMM runs the same one. gemm_packed_f32 computes
+/// C[i][0..cols) from float panels laid out as for gemm_packed_exact;
+/// gemm_few_rows_f32 computes C[i][jbegin..jend) straight from B. Both are
+/// safe to run inside one parallel task (they touch only their own rows and
+/// columns).
+void gemm_packed_f32(const float* a, int lda, const float* panels, int m,
+                     int k, const float* row_init, float* c, int ldc,
+                     int cols);
 void gemm_few_rows_f32(const float* a, int lda, const float* b, int ldb,
                        detail::BLayout layout, int m, int k,
                        const float* row_init, float* c, int ldc, int jbegin,
@@ -81,9 +84,9 @@ float dot_f32(const float* x, const float* y, int n);
 /// global_avgpool fp32 fast path.
 float sum_f32(const float* x, int n);
 
-/// y[j] = clamp(x[j]) where clamp is max(., 0) and, when cap > 0,
-/// min(., cap). Exact (no accumulation) — bitwise-identical to the scalar
-/// path; vectorized purely for speed.
+/// y[j] = x[j] with x < 0 replaced by 0 and, when cap > 0, x > cap by cap.
+/// Exact (no accumulation) and bitwise-identical to the scalar path,
+/// -0.0f and NaN included (both pass through); vectorized purely for speed.
 void relu_f32(const float* x, float* y, std::int64_t n, float cap);
 
 /// One maxpool output row: out[ox] = max over (ky, kx) ascending of

@@ -7,10 +7,10 @@
 // paying a fresh heap round-trip per forward/backward.
 //
 // Every buffer starts at a kAlignment (64-byte) boundary: one full cache
-// line, and twice the 32-byte AVX2 vector width, so the fast-mode kernels
-// can use aligned vector loads on packed panels (a kNR=8-float panel row
-// stride is exactly 32 bytes from an aligned base) and no im2col/panel
-// access ever needs an unaligned-fallback path.
+// line, and twice the 32-byte AVX2 vector width, so the GEMM tiles can use
+// aligned vector loads on packed panels (a kNR=8-float panel row is 32
+// bytes, a kNR=8-double one 64 bytes, from an aligned base) and no
+// im2col/panel access ever needs an unaligned-fallback path.
 //
 // Lifetime rules:
 //  * ScratchArena::local() returns this thread's arena; spans taken from it
@@ -18,15 +18,18 @@
 //    same thread, and must never be handed to another thread for writing —
 //    with one narrow exception: a caller-thread span may be written by
 //    parallel_for workers when every task writes a disjoint,
-//    caller-assigned element range (the per-row loss subtotals in kRowStat;
+//    caller-assigned element range (the im2col channel blocks in kIm2col,
+//    the packed panels in kPanel, the per-row loss subtotals in kRowStat;
 //    no two tasks ever touch the same element, and the caller only reads
-//    the span back after the fan-out joins).
+//    the span back, or hands it to a later fan-out, after the fan-out
+//    joins).
 //  * Kernels that share a scratch buffer across util::parallel_for tasks
-//    (e.g. the im2col matrix read by every GEMM task) allocate it from the
-//    *calling* thread's arena before the fan-out, and workers only read it.
-//  * Worker-private temporaries (packed panels, dcol, softened probability
-//    rows) come from the worker's own thread-local arena inside the task
-//    body.
+//    (e.g. the im2col matrix and the packed panels read by every GEMM
+//    task) allocate it from the *calling* thread's arena before the
+//    fan-out, and workers only read it.
+//  * Worker-private temporaries (the few-row accumulator row, dcol,
+//    softened probability rows) come from the worker's own thread-local
+//    arena inside the task body.
 //
 // Observability: cadmc.kernel.arena.reuse_hits counts requests served from
 // existing capacity, cadmc.kernel.arena.grows / grow_bytes count the
@@ -46,7 +49,11 @@ class ScratchArena {
   /// One id per concurrently-live buffer a kernel needs.
   enum Slot {
     kIm2col = 0,  // im2col matrix shared across GEMM tasks (caller thread)
-    kPanel,       // packed B-panel of the GEMM micro-kernel (worker thread)
+    kPanel,       // a whole GEMM's packed B-panels (caller thread; the pack
+                  // tasks write disjoint caller-assigned panels, the GEMM
+                  // tasks only read — see the lifetime-rule exception)
+    kAccRow,      // double accumulator row of the scalar few-row GEMM
+                  // (worker thread)
     kPackA,       // packed/transposed A operand (matmul_tn)
     kColGrad,     // dcol buffer in conv2d_backward (double deterministic,
                   // float fast mode — the two element types never alias)

@@ -158,20 +158,20 @@ TEST(KernelParity, Conv2dBackwardRandomized) {
   }
 }
 
-// Batch-1 convs that fan out over output-channel row blocks alone: VGG11's
-// conv4 (256 -> 256 on an 8x8 map: one column block, four row blocks); a
-// grouped conv with 50 rows per group — one row block, not a multiple of
-// the 4-row tile — on a 2x2 map, whose one panel is ragged; and a grouped
-// conv with 66 rows per group, split into a 64-row and a ragged 2-row
-// block, on a 3x3 map (one full and one ragged panel).
-struct Batch1Conv {
+struct NamedConv {
   const char* what;
   Tensor input, weight, bias;
   Conv2dSpec spec;
 };
 
-std::vector<Batch1Conv> batch1_convs(util::Rng& rng) {
-  std::vector<Batch1Conv> convs;
+// Batch-1 convs that fan out over output-channel row blocks alone: VGG11's
+// conv4 (256 -> 256 on an 8x8 map: one column block, eight row blocks); a
+// grouped conv with 50 rows per group — two row blocks, the second not a
+// multiple of the 4-row tile — on a 2x2 map, whose one panel is ragged; and
+// a grouped conv with 66 rows per group, split into two 32-row blocks and a
+// ragged 2-row block, on a 3x3 map (one full and one ragged panel).
+std::vector<NamedConv> batch1_convs(util::Rng& rng) {
+  std::vector<NamedConv> convs;
   convs.push_back({"VGG11 conv4 batch 1",
                    Tensor::randn({1, 256, 8, 8}, rng, 0.3f),
                    Tensor::randn({256, 256, 3, 3}, rng, 0.05f),
@@ -187,10 +187,27 @@ std::vector<Batch1Conv> batch1_convs(util::Rng& rng) {
   return convs;
 }
 
-// Runs each batch-1 conv at 1 and at 4 threads and asserts the two are
-// bitwise equal; returns the 1-thread outputs.
-std::vector<Tensor> expect_batch1_thread_invariant(
-    const std::vector<Batch1Conv>& convs) {
+// Convs that exercise the once-per-GEMM panel packing and the
+// channel-blocked im2col: a batch-3, groups-2 conv, whose six slices each
+// read their own packed panels (the last one ragged, 100 = 12 * 8 + 4
+// columns); and a batch-1 conv whose 40 input channels split into im2col
+// blocks of 16, 16 and a ragged 8, large enough to fan out.
+std::vector<NamedConv> pack_and_im2col_convs(util::Rng& rng) {
+  std::vector<NamedConv> convs;
+  convs.push_back({"batch 3 groups 2 conv", Tensor::randn({3, 8, 10, 10}, rng),
+                   Tensor::randn({12, 4, 3, 3}, rng),
+                   Tensor::randn({12}, rng), Conv2dSpec{1, 1, 2}});
+  convs.push_back({"ragged im2col channel block batch 1",
+                   Tensor::randn({1, 40, 16, 16}, rng),
+                   Tensor::randn({48, 40, 3, 3}, rng, 0.2f),
+                   Tensor::randn({48}, rng), Conv2dSpec{1, 1, 1}});
+  return convs;
+}
+
+// Runs each conv at 1 and at 4 threads and asserts the two are bitwise
+// equal; returns the 1-thread outputs.
+std::vector<Tensor> expect_convs_thread_invariant(
+    const std::vector<NamedConv>& convs) {
   std::vector<Tensor> one;
   util::set_configured_threads(1);
   for (const auto& c : convs)
@@ -243,13 +260,27 @@ TEST(KernelDeterminism, ThreadCountInvariance) {
   expect_bit_identical(back1.weight, back4.weight, "dweight threads 1 vs 4");
   expect_bit_identical(back1.bias, back4.bias, "dbias threads 1 vs 4");
 
-  const auto convs = batch1_convs(rng);
-  const auto one = expect_batch1_thread_invariant(convs);
-  for (std::size_t i = 0; i < convs.size(); ++i) {
-    const auto& c = convs[i];
-    expect_bit_identical(
-        one[i], reference::conv2d(c.input, c.weight, c.bias, c.spec), c.what);
+  for (const auto& convs : {batch1_convs(rng), pack_and_im2col_convs(rng)}) {
+    const auto one = expect_convs_thread_invariant(convs);
+    for (std::size_t i = 0; i < convs.size(); ++i) {
+      const auto& c = convs[i];
+      expect_bit_identical(
+          one[i], reference::conv2d(c.input, c.weight, c.bias, c.spec),
+          c.what);
+    }
   }
+
+  // A packed matmul_nt over two row blocks whose last panel is ragged
+  // (67 = 8 * 8 + 3 columns).
+  const Tensor nt_a = Tensor::randn({40, 300}, rng);
+  const Tensor nt_b = Tensor::randn({67, 300}, rng);
+  util::set_configured_threads(1);
+  const Tensor nt1 = matmul_nt(nt_a, nt_b);
+  util::set_configured_threads(4);
+  expect_bit_identical(nt1, matmul_nt(nt_a, nt_b),
+                       "ragged-panel matmul_nt threads 1 vs 4");
+  expect_bit_identical(nt1, reference::matmul_nt(nt_a, nt_b),
+                       "ragged-panel matmul_nt vs reference");
 }
 
 TEST(KernelValidation, ShapeErrors) {
@@ -563,7 +594,17 @@ TEST(FastKernels, ThreadCountInvariance) {
                        "fast dweight threads 1 vs 4");
   expect_bit_identical(back1.bias, back4.bias, "fast dbias threads 1 vs 4");
 
-  expect_batch1_thread_invariant(batch1_convs(rng));
+  expect_convs_thread_invariant(batch1_convs(rng));
+  expect_convs_thread_invariant(pack_and_im2col_convs(rng));
+
+  // A packed matmul_nt over two row blocks whose last panel is ragged.
+  const Tensor nt_a = Tensor::randn({40, 300}, rng);
+  const Tensor nt_b = Tensor::randn({67, 300}, rng);
+  util::set_configured_threads(1);
+  const Tensor nt1 = matmul_nt(nt_a, nt_b);
+  util::set_configured_threads(4);
+  expect_bit_identical(nt1, matmul_nt(nt_a, nt_b),
+                       "fast ragged-panel matmul_nt threads 1 vs 4");
 }
 
 // The packed-vs-few-rows choice follows the whole GEMM's row count: a
@@ -776,6 +817,43 @@ TEST(KernelValidation, FrameworkOpShapeErrors) {
   const Tensor g = Tensor::randn({4}, rng);
   EXPECT_THROW(sgd_update(p.data(), g.data(), v.data(), 0.1f, 0.9f, 0.0f),
                std::invalid_argument);
+}
+
+// Relu and no-argmax maxpool run their vector kernels in both modes
+// whenever the CPU has them, so both modes must keep the reference's bits
+// on the values a max/min instruction can get wrong: -0.0f stays -0.0f, a
+// NaN (either sign) passes through relu, a NaN window element follows the
+// scalar strictly-greater scan, and a value equal to the cap stays put.
+// Without the vector kernels (the portable build) both modes run the scalar
+// loops and must agree just the same.
+TEST(KernelParity, ExactOpsKeepSpecialValuesInBothModes) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,  -0.0f, nan,  -nan, inf,
+                            -inf,  6.0f,  -6.0f, std::nextafter(6.0f, 7.0f),
+                            std::nextafter(6.0f, 5.0f)};
+  constexpr int kSpecials = sizeof(specials) / sizeof(specials[0]);
+  // Every third element is a special value, the rest normal with stddev 4.
+  const auto seeded = [&](Shape shape, util::Rng& rng) {
+    Tensor t = Tensor::randn(std::move(shape), rng, 4.0f);
+    for (std::int64_t i = 0; i < t.numel(); i += 3)
+      t.at(i) = specials[(i / 3) % kSpecials];
+    return t;
+  };
+  for (const KernelMode m : {KernelMode::kDeterministic, KernelMode::kFast}) {
+    ModeGuard mode(m);
+    const char* name = kernel_mode_name(m);
+    util::Rng rng(0x5EC1);
+    for (const auto& p : kPoolCases) {
+      const Tensor input = seeded({p.n, p.c, p.h, p.w}, rng);
+      expect_bit_identical(
+          maxpool2d(input, p.kernel, p.stride, /*with_argmax=*/false).output,
+          reference::maxpool2d(input, p.kernel, p.stride).output, name);
+    }
+    const Tensor x = seeded({3, 5, 9, 9}, rng);
+    for (const float cap : {0.0f, 6.0f})
+      expect_bit_identical(relu(x, cap), reference::relu(x, cap), name);
+  }
 }
 
 // Maxpool and relu vector paths are exact (no accumulation): fast mode must
